@@ -126,6 +126,8 @@ class FuseService:
         # the scan result is stable between membership changes: every
         # site that adds/removes a group or changes a links key-set
         # bumps _links_gen, and the per-neighbor cache keys on it.
+        # Entries are [gen, ids, digest, payload, link_timers]; the last
+        # three fill in lazily.
         self._links_gen = 0
         self._shared_cache: Dict[NodeId, list] = {}
         self._liveness_timeout = self.config.effective_liveness_timeout(
@@ -531,10 +533,10 @@ class FuseService:
     # ------------------------------------------------------------------
     def _ensure_link(self, state: GroupState, neighbor: NodeId) -> None:
         # Resetting a live timer in place reuses its callback closure and
-        # handle; this runs once per shared group per ping/ack, so it is
-        # the hottest timer path in steady state.  Safe because group
-        # state never survives a crash, so the closure's incarnation
-        # guard always matches the current incarnation.
+        # handle (the agreeing-ping path in _on_ping_evidence does the
+        # same through memoized handles).  Safe because group state never
+        # survives a crash, so the closure's incarnation guard always
+        # matches the current incarnation.
         existing = state.links.get(neighbor)
         if existing is not None and existing.reschedule_after(self._liveness_timeout):
             return
@@ -558,7 +560,7 @@ class FuseService:
             fuse_id for fuse_id, state in self.groups.items() if neighbor in state.links
         ]
         ids.sort()
-        self._shared_cache[neighbor] = [self._links_gen, ids, None, None]
+        self._shared_cache[neighbor] = [self._links_gen, ids, None, None, None]
         return ids
 
     @staticmethod
@@ -607,10 +609,25 @@ class FuseService:
         mine_ids = self._shared_ids(neighbor)
         mine = self._shared_hash(neighbor, mine_ids) if mine_ids else _EMPTY_HASH
         if mine == theirs:
-            # Agreement: this link is alive for every shared group.
-            for fuse_id in mine_ids:
-                state = self.groups[fuse_id]
-                self._ensure_link(state, neighbor)
+            # Agreement: this link is alive for every shared group.  The
+            # groups' link timers are memoized beside the id list (every
+            # site that replaces or drops one bumps _links_gen), so each
+            # reset is one reschedule to a shared deadline.
+            if not mine_ids:
+                return
+            entry = self._shared_cache[neighbor]
+            timers = entry[4]
+            if timers is None:
+                groups = self.groups
+                timers = entry[4] = [groups[f].links[neighbor] for f in mine_ids]
+            deadline = self.sim.now + self._liveness_timeout
+            for i, timer in enumerate(timers):
+                if not timer.reschedule_at(deadline):
+                    # Fired or cancelled without a generation bump:
+                    # recreate it, then reset the rest the slow way.
+                    for fuse_id in mine_ids[i:]:
+                        self._ensure_link(self.groups[fuse_id], neighbor)
+                    return
             return
         # Disagreement: reconcile by exchanging id lists (§6.3), at most
         # once per link per half ping period to bound chatter.

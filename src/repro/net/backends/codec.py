@@ -214,6 +214,10 @@ def decode_frame(data: bytes) -> Tuple[str, int, int, int, Optional[Message]]:
         seq = envelope["q"]
     except (TypeError, KeyError) as exc:
         raise CodecError(f"malformed envelope: missing {exc}") from None
+    for field, value in (("s", src), ("d", dst), ("q", seq)):
+        # bool is an int subclass, but never a node id or sequence number.
+        if type(value) is not int:
+            raise CodecError(f"malformed envelope: {field!r} is {type(value).__name__}, not int")
     message: Optional[Message] = None
     if kind == "m":
         payload = envelope.get("m")

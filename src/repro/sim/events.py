@@ -10,6 +10,22 @@ cancellation is one set removal and the stale heap entry is shed lazily
 at pop/peek time (the standard approach for heap-backed schedulers; see
 the CPython ``sched``/``asyncio`` implementations).
 
+Lazy timer moves.  Liveness timers are reset far more often than they
+fire: every agreeing ping moves each shared FUSE link timer a little
+later.  A move to a time no earlier than the timer's current one draws
+the seq an eager re-push would draw and swaps it into ``pending``, but
+pushes nothing: the queue records that the timer rides on its old,
+now-stale heap entry.  When that entry reaches the head,
+:meth:`EventQueue.shed_head` pushes the timer at its recorded
+``(when, seq)`` instead of discarding it.  The old entry's key is smaller
+than the recorded one (``when`` no earlier, seq drawn later), so the
+timer is back on the heap before anything that sorts after it can be
+dispatched, and global ``(when, seq)`` order is exactly that of eager
+re-pushing.  Every loop that sheds a stale head — here, in the kernel,
+in the lane plane and in the parallel drain — goes through
+``shed_head``.  Moves to an earlier time, and any move while a
+``push_probe`` is installed, still push eagerly.
+
 Paper cross-reference: §7.1 — the scheduling core of the simulator half
 of the paper's testbed; the timers scheduled here implement the §6.3-§6.5
 ping/repair timeout machinery.
@@ -24,8 +40,8 @@ creates one.
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Set, Tuple
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.clock import Clock
 
@@ -41,7 +57,7 @@ class EventQueue:
     already cancelled (it simply returns False then).
     """
 
-    __slots__ = ("_heap", "_pending", "_seq", "push_probe")
+    __slots__ = ("_heap", "_pending", "_seq", "_moved", "push_probe")
 
     def __init__(self) -> None:
         self._heap: List[EventEntry] = []
@@ -50,6 +66,9 @@ class EventQueue:
         # whose seq is absent are skipped (and dropped) at pop/peek time.
         self._pending: Set[int] = set()
         self._seq = itertools.count()
+        # Lazily moved timers, keyed by the seq of the stale heap entry
+        # each one rides on until shed_head() re-pushes it.
+        self._moved: Dict[int, "TimerHandle"] = {}
         #: optional hook called as ``push_probe(when, seq, callback, label)``
         #: after every push.  The parallel window scheduler
         #: (:mod:`repro.sim.parallel`) installs one to attribute events to
@@ -83,6 +102,21 @@ class EventQueue:
         """True while the event has neither fired nor been cancelled."""
         return seq in self._pending
 
+    def shed_head(self) -> None:
+        """Drop the stale entry at the head of the heap.
+
+        If a lazily moved timer rides on it, push the timer at its
+        recorded ``(when, seq)`` in the entry's place.  Every loop that
+        sheds a non-pending head must call this instead of ``heappop``.
+        """
+        heap = self._heap
+        handle = self._moved.pop(heap[0][1], None)
+        if handle is not None and handle._seq in self._pending:
+            handle._home = handle._seq
+            heapreplace(heap, (handle.when, handle._seq, handle._callback, handle._label))
+        else:
+            heappop(heap)
+
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if empty."""
         heap = self._heap
@@ -91,7 +125,7 @@ class EventQueue:
             head = heap[0]
             if head[1] in pending:
                 return head[0]
-            heappop(heap)
+            self.shed_head()
         return None
 
     def pop(self) -> Optional[EventEntry]:
@@ -99,10 +133,11 @@ class EventQueue:
         heap = self._heap
         pending = self._pending
         while heap:
-            entry = heappop(heap)
-            if entry[1] in pending:
-                pending.remove(entry[1])
-                return entry
+            seq = heap[0][1]
+            if seq in pending:
+                pending.remove(seq)
+                return heappop(heap)
+            self.shed_head()
         return None
 
     def clear(self) -> None:
@@ -115,11 +150,19 @@ class EventQueue:
         """
         self._heap.clear()
         self._pending.clear()
+        self._moved.clear()
 
     def snapshot(self) -> Tuple[EventEntry, ...]:
-        """Live entries in dispatch order; intended for tests/debugging."""
+        """Live entries in dispatch order, lazily moved timers included;
+        intended for tests/debugging."""
         pending = self._pending
-        return tuple(sorted(e for e in self._heap if e[1] in pending))
+        live = [e for e in self._heap if e[1] in pending]
+        live.extend(
+            (h.when, h._seq, h._callback, h._label)
+            for h in self._moved.values()
+            if h._seq in pending
+        )
+        return tuple(sorted(live))
 
 
 class TimerHandle:
@@ -132,7 +175,7 @@ class TimerHandle:
     handle entirely — that is the network transmit path.
     """
 
-    __slots__ = ("_queue", "_clock", "_seq", "_callback", "_label", "when")
+    __slots__ = ("_queue", "_clock", "_seq", "_home", "_callback", "_label", "when")
 
     def __init__(
         self,
@@ -146,6 +189,9 @@ class TimerHandle:
         self._queue = queue
         self._clock = clock
         self._seq = seq
+        # Seq of the heap entry that will deliver this timer: equal to
+        # _seq unless a lazy move left the timer riding on an older entry.
+        self._home = seq
         self._callback = callback
         self._label = label
         self.when = when
@@ -167,14 +213,34 @@ class TimerHandle:
         scheduled callback, including any liveness guard closed over it,
         so only reschedule timers owned by state that cannot outlive the
         callback's assumptions (e.g. a host incarnation).
+
+        The timer takes a fresh seq either way, so ties order exactly as
+        a cancel plus a new push would.  A move no earlier than the
+        current ``when`` is lazy: it pushes nothing and leaves the timer
+        riding on its existing heap entry, which
+        :meth:`EventQueue.shed_head` turns back into the real entry when
+        it reaches the head.  A move earlier, or any move while a
+        ``push_probe`` is installed, re-pushes at once.
         """
-        if when < self._clock.now:
+        clock = self._clock
+        if when < clock.now:
             raise ValueError(
-                f"cannot reschedule into the past: now={self._clock.now} when={when}"
+                f"cannot reschedule into the past: now={clock.now} when={when}"
             )
-        if not self._queue.cancel(self._seq):
+        queue = self._queue
+        pending = queue._pending
+        seq = self._seq
+        if seq not in pending:
             return False
-        self._seq = self._queue.push(when, self._callback, self._label)
+        pending.remove(seq)
+        if when >= self.when and queue.push_probe is None:
+            seq = next(queue._seq)
+            pending.add(seq)
+            queue._moved[self._home] = self
+            self._seq = seq
+        else:
+            queue._moved.pop(self._home, None)
+            self._seq = self._home = queue.push(when, self._callback, self._label)
         self.when = when
         return True
 

@@ -118,11 +118,12 @@ class Simulator:
         """Dispatch a single event.  Returns False when the queue is empty."""
         plane = self.lane_plane
         if plane is not None:
-            heap = self.queue._heap
-            pending = self.queue._pending
+            queue = self.queue
+            heap = queue._heap
+            pending = queue._pending
             while True:
                 while heap and heap[0][1] not in pending:
-                    heappop(heap)
+                    queue.shed_head()
                 lane_key = plane.next_key()
                 if lane_key is None:
                     break
@@ -160,15 +161,18 @@ class Simulator:
         self._stop_requested = False
         dispatched = 0
         # The dispatch loop works the heap directly: one pop per event,
-        # cancelled entries shed inline, the until/max_events guards and
-        # the clock advance inlined.  The queue invariants (pending-set
-        # liveness, seq tie-breaking) are shared with EventQueue.pop().
+        # stale entries shed through queue.shed_head (which re-pushes a
+        # lazily moved timer riding on one), the until/max_events guards
+        # and the clock advance inlined.  The queue invariants
+        # (pending-set liveness, seq tie-breaking) are shared with
+        # EventQueue.pop().
         queue = self.queue
         heap = queue._heap
         pending = queue._pending
         clock = self.clock
         trace = self.trace
         pop = heappop
+        shed = queue.shed_head
         plane = self.lane_plane
         try:
             if plane is None:
@@ -178,7 +182,7 @@ class Simulator:
                     entry = heap[0]
                     seq = entry[1]
                     if seq not in pending:
-                        pop(heap)  # cancelled: shed lazily, no dispatch
+                        shed()  # stale: no dispatch
                         continue
                     when = entry[0]
                     if until is not None and when > until:
@@ -201,7 +205,7 @@ class Simulator:
                     if dispatched == max_events:
                         break
                     while heap and heap[0][1] not in pending:
-                        pop(heap)  # cancelled: shed lazily, no dispatch
+                        shed()  # stale: no dispatch
                     lane_key = plane.next_key()
                     if heap:
                         entry = heap[0]

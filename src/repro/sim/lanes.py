@@ -574,6 +574,7 @@ class LanePlane:
         trace = self._trace
         hpop = heappop
         hpush = heappush
+        shed = self._queue.shed_head
         nxt = self._next_seq.__next__
         rng = self._rng_random
         jit_frac = self._jitter
@@ -599,7 +600,8 @@ class LanePlane:
         # below pops it.  A pure cancel leaves the length unchanged but
         # can only make the cached key *conservative* (we break to the
         # kernel, which sheds and re-enters) — never make it miss an
-        # earlier real event.
+        # earlier real event.  A lazy timer move is such a cancel: its
+        # new key sorts after the stale entry it rides on.
         real_len = -1
         real_when = inf
         real_seq = 0
@@ -659,7 +661,7 @@ class LanePlane:
                     e0 = heap[0]
                     if e0[1] in pending:
                         break
-                    hpop(heap)
+                    shed()
                 real_len = len(heap)
                 if real_len:
                     e0 = heap[0]

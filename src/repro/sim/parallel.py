@@ -556,7 +556,7 @@ class WindowRunner:
             entry = heap[0]
             seq = entry[1]
             if seq not in pending:
-                pop(heap)  # cancelled: shed lazily, no dispatch
+                queue.shed_head()  # stale: no dispatch
                 continue
             when = entry[0]
             if when > window_end:

@@ -1,5 +1,8 @@
 """Wire codec round-trips for the protocol's message vocabulary."""
 
+import json
+import struct
+
 import pytest
 
 from repro.net.backends import codec
@@ -14,6 +17,11 @@ from repro.overlay.skipnet.messages import (
     OverlayPing,
     RouteEnvelope,
 )
+
+
+def _frame(envelope):
+    body = json.dumps(envelope).encode()
+    return struct.pack(">I", len(body)) + body
 
 
 def roundtrip(message, src=3, dst=7, seq=42):
@@ -97,6 +105,28 @@ class TestMalformedFrames:
         tampered = struct.pack(">I", len(body)) + body
         with pytest.raises(codec.CodecError):
             codec.decode_frame(tampered)
+
+    @pytest.mark.parametrize("field", ["s", "d", "q"])
+    @pytest.mark.parametrize("bad", [{}, "x", None, [1], True, 1.5])
+    def test_envelope_ids_must_be_int(self, field, bad):
+        envelope = {"k": "a", "s": 7, "d": 3, "q": 42}
+        envelope[field] = bad
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame(_frame(envelope))
+
+    def test_ack_with_dict_src_is_a_dropped_datagram(self):
+        """Regression: an ack whose ``s`` is ``{}`` used to decode and then
+        raise TypeError (unhashable key) inside the receive loop."""
+        from repro.net.backends.asynckernel import AsyncioKernel
+        from repro.net.backends.livenet import LiveNetwork
+
+        kernel = AsyncioKernel(seed=1)
+        net = LiveNetwork(kernel)
+        try:
+            net._on_datagram(3, _frame({"k": "a", "s": {}, "d": 3, "q": 42}))
+        finally:
+            net.close()
+            kernel.close()
 
     def test_unencodable_value_raises(self):
         class Weird(Message):

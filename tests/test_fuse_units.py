@@ -136,3 +136,72 @@ class TestTraceLog:
         dump = log.dump(limit=2)
         assert "event 4" in dump
         assert "event 0" not in dump
+
+
+class TestAgreeingEvidenceMemo:
+    """The agreeing branch of _on_ping_evidence resets the shared groups'
+    link timers from handles memoized per link generation; a memoized
+    handle that died without a generation bump falls back to
+    _ensure_link."""
+
+    @staticmethod
+    def _shared_link():
+        import random
+
+        from repro.world import FuseWorld
+
+        world = FuseWorld(n_nodes=20, seed=4, liveness_lanes=False)
+        world.bootstrap()
+        rng = random.Random(1)
+        ids = list(world.node_ids)
+        for i in range(0, 20, 4):
+            world.create_group(ids[i], rng.sample(ids, 4))
+        world.run_for(60_000.0)
+        for node in ids:
+            service = world.fuse(node)
+            for state in service.groups.values():
+                for neighbor in sorted(state.links):
+                    return world, service, neighbor
+        raise AssertionError("no checking link formed")
+
+    def _agree(self, world, service, neighbor):
+        payload = world.fuse(neighbor)._payload_for(service.host.node_id)
+        service._on_ping_evidence(neighbor, payload, False)
+
+    def test_agreeing_ping_resets_memoized_timers(self):
+        world, service, neighbor = self._shared_link()
+        self._agree(world, service, neighbor)
+        timers = service._shared_cache[neighbor][4]
+        ids = service._shared_ids(neighbor)
+        assert timers == [service.groups[f].links[neighbor] for f in ids]
+        gen = service._links_gen
+        world.run_for(1_000.0)
+        self._agree(world, service, neighbor)
+        deadline = world.now + service._liveness_timeout
+        assert all(t.active and t.when == deadline for t in timers)
+        assert service._links_gen == gen
+        assert service._shared_cache[neighbor][4] is timers
+
+    @pytest.mark.parametrize("how", ["cancelled", "fired"])
+    def test_dead_memoized_timer_falls_back_to_ensure_link(self, how, monkeypatch):
+        from repro.fuse.service import FuseService
+
+        world, service, neighbor = self._shared_link()
+        self._agree(world, service, neighbor)
+        fuse_id = service._shared_ids(neighbor)[0]
+        dead = service._shared_cache[neighbor][4][0]
+        if how == "cancelled":
+            dead.cancel()
+        else:
+            # Let the timer fire without the timeout handler's own
+            # bookkeeping (which would bump the generation itself).
+            monkeypatch.setattr(FuseService, "_on_link_timeout", lambda *_: None)
+            dead.reschedule_at(world.now)
+            world.run_for(0.0)
+        assert not dead.active
+        gen = service._links_gen
+        self._agree(world, service, neighbor)
+        fresh = service.groups[fuse_id].links[neighbor]
+        assert fresh is not dead and fresh.active
+        assert fresh.when == world.now + service._liveness_timeout
+        assert service._links_gen > gen

@@ -196,3 +196,37 @@ class TestReschedule:
         assert handle.reschedule_at(20.0)
         sim.run()
         assert fired == ["existing", "rescheduled"]
+
+
+class TestHealthyPingsLeaveNoStaleEntries:
+    """Agreeing pings move FUSE link timers later; a lazy move pushes
+    nothing, so a fault-free steady window leaves no cancelled entry on
+    the main heap.  Lanes off, the scalar overlay still cancels each
+    ping's timeout when the ack arrives — real cancels, not moves — so
+    those are the only stale entries allowed there."""
+
+    @pytest.mark.parametrize("lanes", [True, False])
+    def test_steady_window_heap_holds_only_live_entries(self, lanes):
+        import random
+
+        from repro.world import FuseWorld
+
+        world = FuseWorld(n_nodes=30, seed=11, liveness_lanes=lanes)
+        world.bootstrap()
+        rng = random.Random(3)
+        ids = list(world.node_ids)
+        groups = [world.create_group(ids[i], rng.sample(ids, 4)) for i in range(0, 30, 2)]
+        world.run_for(60_000.0)
+        assert all(g.status == "live" for g in groups)
+        world.run_for(5 * 60_000.0)
+
+        queue = world.sim.queue
+        live = [e for e in queue.snapshot() if e[3].endswith(":fuse-link")]
+        assert live, "the window must hold FUSE link timers"
+        stale = [e for e in queue._heap if e[1] not in queue._pending and e[1] not in queue._moved]
+        if lanes:
+            assert stale == []
+            assert len(queue._heap) == len(queue)
+        else:
+            assert {e[3].rsplit(":", 1)[1] for e in stale} <= {"ping-timeout"}
+            assert len(queue._heap) == len(queue) + len(stale)

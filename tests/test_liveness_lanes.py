@@ -198,3 +198,29 @@ class TestCompressedBootstrapJoinsEveryNode:
         world.bootstrap()
         assert world.overlay.first_sweep_floor_ms == 0.0
         assert world.overlay.member_count == 20
+
+
+class TestLazyTimerMovesInLaneSteps:
+    def test_stale_head_shed_inside_advance_repushes_moved_timer(self):
+        """A lane listener lazily moves the real heap's head timer and then
+        pushes a later real event: the lane step's own shed loop meets the
+        stale entry first and must put the moved timer back, not drop it."""
+        world, plane = _laned_world()
+        sim = world.sim
+        fired = []
+        handle = sim.call_after(30_000.0, lambda: fired.append(sim.now))
+        assert sim.queue.snapshot()[0][1] == handle._seq, "timer must head the heap"
+        target = handle.when + 5_000.0
+        moved_laned = []
+
+        def listener(nbr, payload, is_ack):
+            if not moved_laned and sim.now > handle.when - 20_000.0:
+                moved_laned.append(plane.lane_count == 20)
+                assert handle.reschedule_at(target)
+                sim.schedule_at(target + 1_000.0, lambda: None)
+
+        for node in world.overlay_nodes.values():
+            node.register_ping_listener(listener)
+        world.run_for(60_000.0)
+        assert moved_laned == [True]
+        assert fired == [target]

@@ -187,3 +187,21 @@ class TestWindowDispatchProperties:
         contexts = {record[1] for record in result.stream}
         assert REPLICATED in contexts
         assert contexts - {REPLICATED}, "no partition-context dispatches"
+
+
+def test_lazily_moved_timer_survives_the_window_drain():
+    """A timer moved later outside any partition phase rides on its old
+    heap entry; the window drain must re-push it when that entry comes
+    up, as the serial kernel does."""
+    world = _plan_world(2, 36)
+    fired = []
+    want = []
+
+    def body(session):
+        handle = world.sim.call_after(10_000.0, lambda: fired.append(world.now))
+        assert handle.reschedule_at(handle.when + 5_000.0)
+        want.append(handle.when)
+        session.run_for(1.0 * MINUTE_MS)
+
+    world.run_partitioned(body, workers=1, partitions=2)
+    assert fired == want

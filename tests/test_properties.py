@@ -51,6 +51,90 @@ class TestEventOrderingProperties:
         assert observed == sorted(observed)
 
 
+_timer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("call"), st.integers(0, 50)),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+        st.tuples(
+            st.just("move"),
+            st.integers(0, 30),
+            st.sampled_from(["earlier", "equal", "later"]),
+            st.integers(0, 50),
+        ),
+        st.tuples(st.just("run"), st.integers(0, 40)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=60,
+)
+
+
+class TestLazyTimerMovesAgainstEagerModel:
+    """Random call/cancel/move/run sequences against a naive model that
+    re-pushes on every move: dispatch order, ``len``, each handle's
+    ``active`` and ``snapshot()`` must agree after every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_timer_ops)
+    def test_matches_eager_list_model(self, ops):
+        sim = Simulator()
+        fired = []
+        handles = []
+        model = {}  # handle index -> (when, seq), live timers only
+        model_fired = []
+        next_seq = 0
+        now = 0.0
+
+        def model_pop():
+            """Dispatch the model's earliest (when, seq) timer."""
+            nonlocal now
+            i = min(model, key=model.__getitem__)
+            now = model.pop(i)[0]
+            model_fired.append(i)
+
+        for op in ops:
+            kind = op[0]
+            if kind == "call":
+                i = len(handles)
+                handles.append(sim.call_at(now + op[1], lambda i=i: fired.append(i)))
+                model[i] = (now + op[1], next_seq)
+                next_seq += 1
+            elif kind in ("cancel", "move") and handles:
+                i = op[1] % len(handles)
+                handle = handles[i]
+                if kind == "cancel":
+                    handle.cancel()
+                    model.pop(i, None)
+                else:
+                    when = {
+                        "earlier": handle.when - op[3],
+                        "equal": handle.when,
+                        "later": handle.when + op[3],
+                    }[op[2]]
+                    when = max(now, when)  # a fired timer's when may be past
+                    assert handle.reschedule_at(when) == (i in model)
+                    if i in model:
+                        model[i] = (when, next_seq)
+                        next_seq += 1
+            elif kind == "run":
+                until = now + op[1]
+                sim.run(until=until)
+                while model and min(model.values())[0] <= until:
+                    model_pop()
+                now = until
+            elif kind == "step":
+                sim.step()
+                if model:
+                    model_pop()
+            elif kind == "clear":
+                sim.queue.clear()
+                model.clear()
+            assert fired == model_fired and sim.now == now
+            assert len(sim.queue) == len(model)
+            assert [h.active for h in handles] == [i in model for i in range(len(handles))]
+            assert [(e[0], e[1]) for e in sim.queue.snapshot()] == sorted(model.values())
+
+
 # ---------------------------------------------------------------------------
 # Metrics properties
 # ---------------------------------------------------------------------------

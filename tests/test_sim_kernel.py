@@ -224,3 +224,104 @@ class TestSimulator:
         sim.call_at(3.0, lambda: None, label="hello")
         sim.run()
         assert any("hello" in rec.message for rec in sim.trace)
+
+
+class TestLazyTimerMoves:
+    """A move no earlier than a timer's current time pushes nothing: the
+    timer rides on its old heap entry until that entry reaches the head.
+    Observable behaviour must equal cancel-plus-push."""
+
+    def _fired(self, sim):
+        fired = []
+        return fired, lambda tag: (lambda: fired.append((tag, sim.now)))
+
+    def test_later_move_pushes_nothing(self):
+        sim = Simulator()
+        fired, cb = self._fired(sim)
+        handle = sim.call_at(10.0, cb("t"))
+        assert handle.reschedule_at(30.0)
+        assert len(sim.queue._heap) == 1
+        assert len(sim.queue) == 1 and handle.active and handle.when == 30.0
+        sim.run()
+        assert fired == [("t", 30.0)]
+        assert not handle.active and len(sim.queue) == 0
+
+    def test_later_then_earlier_move(self):
+        sim = Simulator()
+        fired, cb = self._fired(sim)
+        handle = sim.call_at(10.0, cb("t"))
+        sim.call_at(25.0, cb("other"))
+        assert handle.reschedule_at(30.0)  # lazy
+        assert handle.reschedule_at(20.0)  # earlier than 30: eager push
+        assert len(sim.queue) == 2
+        sim.run()
+        assert fired == [("t", 20.0), ("other", 25.0)]
+        assert len(sim.queue) == 0 and not sim.queue._heap
+
+    def test_cancel_after_lazy_move(self):
+        sim = Simulator()
+        fired, cb = self._fired(sim)
+        handle = sim.call_at(10.0, cb("t"))
+        assert handle.reschedule_at(40.0)
+        handle.cancel()
+        assert not handle.active
+        assert len(sim.queue) == 0
+        assert sim.queue.snapshot() == ()
+        assert not handle.reschedule_at(50.0)
+        sim.run()
+        assert fired == []
+        assert not sim.queue._heap and not sim.queue._moved
+
+    def test_reschedule_after_clear(self):
+        sim = Simulator()
+        handle = sim.call_at(10.0, lambda: None)
+        assert handle.reschedule_at(40.0)
+        sim.queue.clear()
+        assert not handle.active
+        assert not handle.reschedule_at(50.0)
+        assert len(sim.queue) == 0 and sim.queue.snapshot() == ()
+        assert sim.run() == 0
+
+    @pytest.mark.parametrize("fresh_first", [False, True])
+    def test_equal_when_tie_with_fresh_event(self, fresh_first):
+        """Ties break by seq: a move draws a fresh seq exactly as an eager
+        re-push would, so whichever of the move and the new event came
+        first in program order dispatches first."""
+        sim = Simulator()
+        fired, cb = self._fired(sim)
+        handle = sim.call_at(10.0, cb("moved"))
+        if fresh_first:
+            sim.call_at(20.0, cb("fresh"))
+            assert handle.reschedule_at(20.0)
+        else:
+            assert handle.reschedule_at(20.0)
+            sim.call_at(20.0, cb("fresh"))
+        sim.run()
+        want = ["fresh", "moved"] if fresh_first else ["moved", "fresh"]
+        assert [tag for tag, _ in fired] == want
+
+    def test_snapshot_lists_moved_timers(self):
+        sim = Simulator()
+        handle = sim.call_at(10.0, lambda: None, label="t")
+        sim.call_at(15.0, lambda: None, label="u")
+        assert handle.reschedule_at(20.0)
+        assert [(e[0], e[3]) for e in sim.queue.snapshot()] == [(15.0, "u"), (20.0, "t")]
+        assert sim.queue.peek_time() == 15.0
+        sim.step()
+        assert sim.queue.peek_time() == 20.0
+
+    def test_past_move_still_rejected(self):
+        sim = Simulator()
+        handle = sim.call_at(10.0, lambda: None)
+        sim.run(until=5.0)
+        with pytest.raises(ValueError):
+            handle.reschedule_at(4.0)
+
+    def test_push_probe_forces_eager_moves(self):
+        sim = Simulator()
+        seen = []
+        handle = sim.call_at(10.0, lambda: None)
+        sim.queue.push_probe = lambda when, seq, cb, label: seen.append((when, seq))
+        assert handle.reschedule_at(30.0)
+        assert seen == [(30.0, handle._seq)]
+        assert len(sim.queue._heap) == 2
