@@ -123,7 +123,7 @@ def _encode_value(value: Any) -> Any:
 def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if _MSG_TAG in value:
-            return _materialize(value[_MSG_TAG], value["f"])
+            return _materialize(value[_MSG_TAG], value.get("f", {}))
         if _TUPLE_TAG in value:
             return tuple(_decode_value(v) for v in value[_TUPLE_TAG])
         int_keys = set(value.get(_INTKEYS_TAG, ()))
@@ -152,7 +152,13 @@ def _fields_of(message: Message) -> Dict[str, Any]:
     return fields
 
 
-def _materialize(type_name: str, fields: Dict[str, Any]) -> Message:
+def _materialize(type_name: Any, fields: Any) -> Message:
+    # Both come straight off the wire: an unhashable tag or a non-object
+    # field table must be a typed drop, not a TypeError/AttributeError.
+    if type(type_name) is not str:
+        raise CodecError(f"message tag is {type(type_name).__name__}, not str")
+    if type(fields) is not dict:
+        raise CodecError(f"message fields are {type(fields).__name__}, not an object")
     cls = _lookup(type_name)
     message = cls.__new__(cls)
     for name, value in fields.items():
@@ -162,6 +168,9 @@ def _materialize(type_name: str, fields: Dict[str, Any]) -> Message:
             raise CodecError(
                 f"field {name!r} does not fit message type {type_name!r}"
             ) from None
+        except (TypeError, ValueError) as exc:
+            # A mangled tuple or int-key tag inside the value.
+            raise CodecError(f"field {name!r} is malformed: {exc}") from None
     return message
 
 

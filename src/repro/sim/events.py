@@ -21,10 +21,9 @@ now-stale heap entry.  When that entry reaches the head,
 than the recorded one (``when`` no earlier, seq drawn later), so the
 timer is back on the heap before anything that sorts after it can be
 dispatched, and global ``(when, seq)`` order is exactly that of eager
-re-pushing.  Every loop that sheds a stale head — here, in the kernel,
-in the lane plane and in the parallel drain — goes through
-``shed_head``.  Moves to an earlier time, and any move while a
-``push_probe`` is installed, still push eagerly.
+re-pushing.  Every loop that sheds a stale head — here, in the kernel
+and in the lane plane — goes through ``shed_head``.  Moves to an
+earlier time still push eagerly.
 
 Paper cross-reference: §7.1 — the scheduling core of the simulator half
 of the paper's testbed; the timers scheduled here implement the §6.3-§6.5
@@ -57,7 +56,7 @@ class EventQueue:
     already cancelled (it simply returns False then).
     """
 
-    __slots__ = ("_heap", "_pending", "_seq", "_moved", "push_probe")
+    __slots__ = ("_heap", "_pending", "_seq", "_moved")
 
     def __init__(self) -> None:
         self._heap: List[EventEntry] = []
@@ -69,13 +68,6 @@ class EventQueue:
         # Lazily moved timers, keyed by the seq of the stale heap entry
         # each one rides on until shed_head() re-pushes it.
         self._moved: Dict[int, "TimerHandle"] = {}
-        #: optional hook called as ``push_probe(when, seq, callback, label)``
-        #: after every push.  The parallel window scheduler
-        #: (:mod:`repro.sim.parallel`) installs one to attribute events to
-        #: partitions and to intercept cross-partition deliveries (the
-        #: probe may ``cancel(seq)`` the fresh entry).  None — one falsy
-        #: check per push — everywhere else.
-        self.push_probe: Optional[Callable[[float, int, Callable[[], Any], str], None]] = None
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -85,9 +77,6 @@ class EventQueue:
         seq = next(self._seq)
         heappush(self._heap, (when, seq, callback, label))
         self._pending.add(seq)
-        probe = self.push_probe
-        if probe is not None:
-            probe(when, seq, callback, label)
         return seq
 
     def cancel(self, seq: int) -> bool:
@@ -219,8 +208,7 @@ class TimerHandle:
         current ``when`` is lazy: it pushes nothing and leaves the timer
         riding on its existing heap entry, which
         :meth:`EventQueue.shed_head` turns back into the real entry when
-        it reaches the head.  A move earlier, or any move while a
-        ``push_probe`` is installed, re-pushes at once.
+        it reaches the head.  A move earlier re-pushes at once.
         """
         clock = self._clock
         if when < clock.now:
@@ -233,7 +221,7 @@ class TimerHandle:
         if seq not in pending:
             return False
         pending.remove(seq)
-        if when >= self.when and queue.push_probe is None:
+        if when >= self.when:
             seq = next(queue._seq)
             pending.add(seq)
             queue._moved[self._home] = self

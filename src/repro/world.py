@@ -200,31 +200,6 @@ class FuseWorld:
         return [nid for nid in self.node_ids if self.hosts[nid].alive]
 
     # ------------------------------------------------------------------
-    # Parallel (partitioned) execution
-    # ------------------------------------------------------------------
-    def partition_plan(self, n_partitions: int):
-        """AS-atomic partition plan for this world (affinity-balanced;
-        see :class:`repro.sim.parallel.PartitionPlan`)."""
-        from repro.sim.parallel import PartitionPlan
-
-        return PartitionPlan.build(self, n_partitions)
-
-    def run_partitioned(self, body, workers: int = 1,
-                        partitions: Optional[int] = None,
-                        record_stream: bool = False):
-        """Run ``body(session)`` over this world split across worker
-        processes using the conservative window protocol.  ``body`` must
-        advance virtual time only via ``session.run_for``; results are
-        byte-identical for any ``workers`` at a fixed partition count.
-        See :func:`repro.engine.windows.run_partitioned`."""
-        from repro.engine.windows import run_partitioned
-
-        return run_partitioned(
-            self, body, workers=workers, partitions=partitions,
-            record_stream=record_stream,
-        )
-
-    # ------------------------------------------------------------------
     # Group creation conveniences
     # ------------------------------------------------------------------
     def create_group(self, root: NodeId, members: Sequence[NodeId]) -> FuseGroup:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import FuseWorld
@@ -12,6 +14,23 @@ from repro.sim import Simulator
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=42)
+
+
+@pytest.fixture(scope="module")
+def settled_heap():
+    """Collect and freeze the heap before a wall-clock (live backend) module.
+
+    Live tests run protocol deadlines of a few wall milliseconds.  Garbage
+    left by earlier tests' large simulated worlds makes the next full
+    collection pause the event loop for tens of milliseconds — long enough
+    to time out an RPC.  Collecting it up front, and freezing what
+    survives so later collections skip it, keeps those pauses out of the
+    measured loop.
+    """
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

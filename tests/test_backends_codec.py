@@ -24,6 +24,22 @@ def _frame(envelope):
     return struct.pack(">I", len(body)) + body
 
 
+#: Data-frame message bodies a hostile peer can send: a non-string type
+#: tag, a field table that is not a JSON object, and mangled tuple /
+#: int-key tags inside a field value.
+BAD_MESSAGE_BODIES = [
+    {"__m__": ["x"], "f": {}},
+    {"__m__": {}, "f": {}},
+    {"__m__": "HardNotification", "f": []},
+    {"__m__": "HardNotification", "f": "x"},
+    {"__m__": "HardNotification", "f": 1},
+    {"__m__": "HardNotification", "f": None},
+    {"__m__": "RouteEnvelope", "f": {"payload": {"__t__": 1}}},
+    {"__m__": "RouteEnvelope", "f": {"payload": {"__ik__": ["a"], "a": 1}}},
+    {"__m__": "RouteEnvelope", "f": {"payload": {"__ik__": [[1]]}}},
+]
+
+
 def roundtrip(message, src=3, dst=7, seq=42):
     frame = codec.encode_message(src, dst, seq, message)
     kind, rsrc, rdst, rseq, decoded = codec.decode_frame(frame)
@@ -114,6 +130,11 @@ class TestMalformedFrames:
         with pytest.raises(codec.CodecError):
             codec.decode_frame(_frame(envelope))
 
+    @pytest.mark.parametrize("body", BAD_MESSAGE_BODIES)
+    def test_message_body_must_be_well_formed(self, body):
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame(_frame({"k": "m", "s": 1, "d": 2, "q": 3, "m": body}))
+
     def test_ack_with_dict_src_is_a_dropped_datagram(self):
         """Regression: an ack whose ``s`` is ``{}`` used to decode and then
         raise TypeError (unhashable key) inside the receive loop."""
@@ -125,6 +146,32 @@ class TestMalformedFrames:
         try:
             net._on_datagram(3, _frame({"k": "a", "s": {}, "d": 3, "q": 42}))
         finally:
+            net.close()
+            kernel.close()
+
+    def test_malformed_message_body_is_a_dropped_datagram(self):
+        """Regression: a non-string ``__m__`` tag raised TypeError, and a
+        non-object ``f`` AttributeError, inside the receive loop."""
+        from repro.net.backends.asynckernel import AsyncioKernel
+        from repro.net.backends.livenet import LiveNetwork
+
+        kernel = AsyncioKernel(seed=1)
+        net = LiveNetwork(kernel)
+        acks = []
+        # Stand-ins for node 2's host and socket, so a frame that decodes
+        # is accepted and acked rather than dropped for lack of a receiver.
+        net._hosts[2] = object()
+        net._transports[2] = object()
+        net._sendto = lambda src, dst, frame: acks.append(frame)
+        try:
+            good = codec.encode_message(1, 2, 3, HardNotification(fuse_id="f", reason="r"))
+            net._on_datagram(2, good)
+            assert len(acks) == 1
+            for q, body in enumerate(BAD_MESSAGE_BODIES, start=4):
+                net._on_datagram(2, _frame({"k": "m", "s": 1, "d": 2, "q": q, "m": body}))
+            assert len(acks) == 1
+        finally:
+            del net._hosts[2], net._transports[2]
             net.close()
             kernel.close()
 

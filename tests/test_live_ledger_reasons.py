@@ -13,11 +13,18 @@ import pytest
 from repro.fuse.api import NotificationReason
 from repro.net.backends.liveworld import LiveWorld
 
-SCALE = 0.002
+# Wall seconds per virtual second.  The protocol's deadlines are virtual
+# (10 s create timeout, 200 ms first retransmission), so the scale sets
+# their wall budget: 50 ms and 1 ms here.  At 0.002 (20 ms and 0.4 ms) a
+# few milliseconds of CPU contention were enough to time out the group
+# creates these tests start from.
+SCALE = 0.005
+
+pytestmark = pytest.mark.usefixtures("settled_heap")
 
 
 @pytest.fixture(scope="module")
-def world():
+def world(settled_heap):
     with LiveWorld(n_nodes=8, seed=23, time_scale=SCALE) as w:
         w.bootstrap(settle_ms=2_000.0)
         yield w

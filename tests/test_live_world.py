@@ -14,6 +14,8 @@ from repro.net.backends.wallclock import WallClock
 # Aggressive compression for tests: 1 virtual minute ≈ 0.12 wall seconds.
 SCALE = 0.002
 
+pytestmark = pytest.mark.usefixtures("settled_heap")
+
 
 @pytest.fixture
 def kernel():

@@ -1,67 +1,42 @@
-"""Cross-mode determinism matrix for the parallel simulation engine.
+"""Lane-mode identity on a 400-node crash workload.
 
-The FUSE paper's guarantees are *global* (every member of an affected
-group is notified), so a parallel execution is only trustworthy if it is
-provably equivalent to the serial one.  This module pins that equivalence
-as a matrix: one fixed workload per world size, executed serially and
-under 2 and 4 workers, with liveness lanes off/on/py — every cell must
-produce byte-identical artifacts:
+The lane plane (``repro.sim.lanes``) must not change what a world does.
+One fixed workload — eight groups spread over the id space, two crashes
+mid-run, enough virtual time for detection and repair — runs serially
+with liveness lanes off, on and pure-Python, and every mode must produce
+byte-identical artifacts:
 
-* the canonical merged event stream ``(window slot, context, when, label)``,
 * the full :class:`~repro.fuse.api.GroupLedger` (creates, notes,
   duplicates, as tuples),
-* every metrics counter, and the total events dispatched.
+* every metrics counter, the total events dispatched and the final clock.
 
-The partition count is held fixed (P=4) while the worker count varies —
-the window schedule is a function of the plan, so identical plans must
-yield identical merged artifacts no matter how partitions are spread
-over processes (the same golden-replay idea as
-``test_hotpath_determinism``, with the serial windowed run as the golden
-reference).  A separate anchor pins the single-partition fast path to
-the classic ``world.run_for`` kernel loop.
+This complements ``tests/test_liveness_lanes.py`` (golden trace on a
+small world, builtin scenarios with lanes off) with a larger world whose
+crashes drive overlay liveness detection and ring repair while the lane
+plane carries the healthy pings.
 """
 
 import pytest
 
-from repro.engine.windows import run_partitioned
 from repro.world import FuseWorld
 
 MINUTE_MS = 60_000.0
 
 
-def _build(n_nodes: int, seed: int, lanes: str) -> FuseWorld:
+def _artifacts(n_nodes: int, seed: int, lanes: str):
     world = FuseWorld(n_nodes=n_nodes, seed=seed, liveness_lanes=lanes)
     world.bootstrap()
-    return world
-
-
-def _workload(world: FuseWorld):
-    """Fixed cross-partition workload: groups spread over the id space,
-    two crashes mid-run, enough virtual time for detection + repair."""
     ids = world.node_ids
     n = len(ids)
-
-    def body(session):
-        for i in range(8):
-            root = ids[(i * n) // 8]
-            members = [ids[((i * n) // 8 + k * 7 + 1) % n] for k in range(4)]
-            world.create_group_sync(root, members)
-        session.run_for(1.5 * MINUTE_MS)
-        world.crash(ids[n // 3])
-        world.crash(ids[(2 * n) // 3])
-        session.run_for(2.0 * MINUTE_MS)
-
-    return body
-
-
-def _artifacts(n_nodes: int, seed: int, workers: int, lanes: str, partitions: int = 4):
-    world = _build(n_nodes, seed, lanes)
-    result = run_partitioned(
-        world, _workload(world),
-        workers=workers, partitions=partitions, record_stream=True,
-    )
+    for i in range(8):
+        root = ids[(i * n) // 8]
+        members = [ids[((i * n) // 8 + k * 7 + 1) % n] for k in range(4)]
+        world.create_group_sync(root, members)
+    world.run_for(1.5 * MINUTE_MS)
+    world.crash(ids[n // 3])
+    world.crash(ids[(2 * n) // 3])
+    world.run_for(2.0 * MINUTE_MS)
     return {
-        "stream": result.stream,
         "creates": tuple(world.ledger.creates),
         "notes": tuple(world.ledger.notes),
         "duplicates": tuple(world.ledger.duplicates),
@@ -69,91 +44,23 @@ def _artifacts(n_nodes: int, seed: int, workers: int, lanes: str, partitions: in
             name: c.value
             for name, c in sorted(world.sim.metrics.counters().items())
         },
-        "events": result.events,
+        "events": world.sim.events_dispatched,
         "clock": world.sim.now,
     }
 
 
-def _assert_identical(ref, got, label: str) -> None:
-    for key in ref:
-        assert got[key] == ref[key], f"{label}: {key} diverged"
-
-
 class TestIdentityMatrix400:
-    """n=400 — the classic-bootstrap reference size, full 3x3 matrix."""
+    """n=400 — the classic-bootstrap reference size."""
 
     SEED = 11
     N = 400
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return _artifacts(self.N, self.SEED, workers=1, lanes="off")
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("lanes", ["off", "on", "py"])
-    def test_workers_lanes_identical(self, reference, workers, lanes):
-        got = _artifacts(self.N, self.SEED, workers=workers, lanes=lanes)
-        _assert_identical(reference, got, f"workers={workers} lanes={lanes}")
+        return _artifacts(self.N, self.SEED, lanes="off")
 
     @pytest.mark.parametrize("lanes", ["on", "py"])
     def test_serial_lanes_identical(self, reference, lanes):
-        got = _artifacts(self.N, self.SEED, workers=1, lanes=lanes)
-        _assert_identical(reference, got, f"workers=1 lanes={lanes}")
-
-    def test_stream_nonempty_and_windowed(self, reference):
-        stream = reference["stream"]
-        assert len(stream) > 1000
-        # Slots must be non-decreasing and contexts ordered within a slot
-        # (replicated phase sorts before partitions).
-        assert stream == sorted(stream, key=lambda r: (r[0], r[1]))
-
-
-class TestIdentityMatrix2000:
-    """n=2000 — the scaled bootstrap regime; full worker x lanes matrix."""
-
-    SEED = 23
-    N = 2000
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return _artifacts(self.N, self.SEED, workers=1, lanes="off")
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("lanes", ["off", "on", "py"])
-    def test_workers_lanes_identical(self, reference, workers, lanes):
-        got = _artifacts(self.N, self.SEED, workers=workers, lanes=lanes)
-        _assert_identical(reference, got, f"workers={workers} lanes={lanes}")
-
-
-class TestSerialAnchor:
-    """P=1 sessions run the classic kernel loop, byte-identical to
-    ``world.run_for`` — anchoring the windowed modes to the pre-parallel
-    engine the golden traces already pin."""
-
-    def _classic(self, lanes: str):
-        world = _build(400, 11, lanes)
-        body = _workload(world)
-
-        class _Serial:
-            @staticmethod
-            def run_for(ms):
-                world.run_for(ms)
-
-        body(_Serial())
-        return {
-            "creates": tuple(world.ledger.creates),
-            "notes": tuple(world.ledger.notes),
-            "duplicates": tuple(world.ledger.duplicates),
-            "counters": {
-                name: c.value
-                for name, c in sorted(world.sim.metrics.counters().items())
-            },
-            "events": world.sim.events_dispatched,
-            "clock": world.sim.now,
-        }
-
-    def test_single_partition_matches_classic(self):
-        classic = self._classic("off")
-        session = _artifacts(400, 11, workers=1, lanes="off", partitions=1)
-        for key in classic:
-            assert session[key] == classic[key], f"P=1 anchor: {key} diverged"
+        got = _artifacts(self.N, self.SEED, lanes=lanes)
+        for key in reference:
+            assert got[key] == reference[key], f"lanes={lanes}: {key} diverged"

@@ -19,8 +19,13 @@ from repro.scenarios.parity import (
 from repro.scenarios.timeline import Phase, Scenario
 from repro.scenarios.tracks import CrashRecoverWave, DisconnectWave, GroupWorkload
 
-# 1 virtual minute ≈ 0.12 wall seconds on the live leg.
-SCALE = 0.002
+# 1 virtual minute ≈ 0.3 wall seconds on the live leg.  Smaller scales
+# shrink the protocol's wall-time deadlines (a 200 ms virtual
+# retransmission timer is 0.4 ms of wall time at 0.002) below what CPU
+# contention on a shared host can stall the loop for.
+SCALE = 0.005
+
+pytestmark = pytest.mark.usefixtures("settled_heap")
 
 
 def mini_scenario() -> Scenario:

@@ -316,12 +316,3 @@ class TestLazyTimerMoves:
         sim.run(until=5.0)
         with pytest.raises(ValueError):
             handle.reschedule_at(4.0)
-
-    def test_push_probe_forces_eager_moves(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.call_at(10.0, lambda: None)
-        sim.queue.push_probe = lambda when, seq, cb, label: seen.append((when, seq))
-        assert handle.reschedule_at(30.0)
-        assert seen == [(30.0, handle._seq)]
-        assert len(sim.queue._heap) == 2
