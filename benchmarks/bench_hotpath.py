@@ -163,9 +163,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--lanes",
-        choices=("on", "off", "py"),
+        choices=("on", "off"),
         default="on",
-        help="liveness-lane mode; off/py results merge under a suffixed "
+        help="liveness-lane mode; off results merge under a suffixed "
         "mode key (e.g. 'full_lanes_off') so both baselines can coexist",
     )
     args = parser.parse_args(argv)

@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--lanes",
-        choices=("on", "off", "py"),
+        choices=("on", "off"),
         default="on",
         help="liveness-lane mode; 'off' results merge into a separate "
         "'scales_lanes_off' section so both baselines can be committed",

@@ -319,8 +319,17 @@ class _SendAttemptState:
                 f"rx:{type(self.message).__name__}" if tracing else "",
             )
             return
+        self.segment_lost()
 
-        # Segment lost: back off and retry, or break the connection.
+    def segment_lost(self) -> None:
+        """Segment lost: back off and retry, or break the connection.
+
+        The tail of :meth:`attempt` after a drop; the lane plane calls it
+        too, on a state rebuilt at the dropped leg's attempt index and
+        RTO, so the retry and connection-break policy lives only here."""
+        net = self.network
+        config = net.config
+        tracing = net._tracing
         if self.attempt_index < config.max_retries:
             self.attempt_index += 1
             delay = self.rto_ms

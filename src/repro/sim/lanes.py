@@ -36,19 +36,16 @@ golden dispatch trace and the figure/scenario fixtures:
 * Payload collection and ping/ack listener delivery call the *real*
   FUSE evidence hooks, so notification-relevant behavior is untouched.
 
-A lane goes heterogeneous — a fault is injected, loss changes mid-window
-(``Topology.generation``), a pending-ack timeout is about to fire, a
-transmission drops, the node's table changes, or the node crashes or is
-torn down — and its members *eject* to the classic scalar path: every
+A dropped transmission stays in the lane: like the scalar
+retransmission state machine, the leg is re-sent as a micro-event after
+an exponentially backed-off RTO.  A lane goes heterogeneous — a fault is
+injected, loss changes mid-window (``Topology.generation``), a
+pending-ack timeout is about to fire, a leg exhausts its retries and
+breaks the connection, the node's table changes, or the node crashes or
+is torn down — and its members *eject* to the classic scalar path: every
 virtual timer and in-flight transmission is materialized back onto the
 main heap with its recorded ``(when, seq)``, after which the run is
 indistinguishable from one that never laned.
-
-numpy is gated exactly like scipy in :mod:`repro.net.routing`: an
-optional import with an identical pure-Python fallback (tier-1 stays
-numpy-free).  The vectorized piece is the per-sweep serialization chain
-(a cumulative sum of send overheads); ``numpy.cumsum`` accumulates
-left-to-right, so its floats match the scalar chain bit-for-bit.
 """
 
 from __future__ import annotations
@@ -62,11 +59,6 @@ from repro.net.network import _SendAttemptState
 from repro.overlay.skipnet.messages import OverlayPing, OverlayPingAck
 from repro.overlay.skipnet.node import _EMPTY_PAYLOAD
 from repro.sim.events import TimerHandle
-
-try:  # Gated accelerator, mirroring the scipy gate in repro.net.routing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
 
 _PING_BYTES = OverlayPing.size_bytes
 _ACK_BYTES = OverlayPingAck.size_bytes
@@ -86,20 +78,14 @@ _DELIVER = 2      # obj = _Flight: ping arrival at the neighbor
 _ACK_ATTEMPT = 3  # obj = _Flight: ack transmission attempt (B -> A)
 _ACK_DELIVER = 4  # obj = _Flight: ack arrival back at the pinger
 _IDLE = 5         # flight has no pending progress event (timeout only)
-_REAL = 6         # flight's progress event was materialized onto the heap
-
-# Minimum sends per sweep before the numpy cumulative sum pays for its
-# array setup; below this the pure-Python chain is used even with numpy.
-_NP_MIN_BATCH = 8
 
 
 def resolve_lanes_mode(override=None) -> str:
-    """Resolve the liveness-lanes mode: ``"on"``, ``"off"``, or ``"py"``.
+    """Resolve the liveness-lanes mode: ``"on"`` or ``"off"``.
 
     ``override`` (a ``FuseWorld(liveness_lanes=...)`` argument) wins when
     given: ``True``/``False`` or one of the mode strings.  Otherwise the
-    ``REPRO_LIVENESS_LANES`` environment variable decides (default on;
-    ``py`` forces the pure-Python fallback even when numpy is present).
+    ``REPRO_LIVENESS_LANES`` environment variable decides (default on).
     """
     if override is not None:
         if override is True:
@@ -109,12 +95,10 @@ def resolve_lanes_mode(override=None) -> str:
         mode = str(override).strip().lower()
     else:
         mode = os.environ.get("REPRO_LIVENESS_LANES", "on").strip().lower()
-    if mode in ("", "1", "on", "true", "yes", "numpy"):
+    if mode in ("", "1", "on", "true", "yes"):
         return "on"
     if mode in ("0", "off", "false", "no"):
         return "off"
-    if mode in ("py", "python", "fallback"):
-        return "py"
     raise ValueError(f"unrecognized liveness-lanes mode: {mode!r}")
 
 
@@ -125,12 +109,19 @@ class _Flight:
     ``(nbr_id, nbr_node, nbr_host, pair, route_out, route_back,
     lat_out, loss_out, lat_back, loss_back, nbr_collect,
     nbr_ping_listeners)``.
+
+    ``tries``/``rto`` and ``ack_tries``/``ack_rto`` are the ping and ack
+    legs' retransmission state: the attempt index and the backed-off RTO
+    of the next retry.  An RTO is written only when its leg first drops
+    (and read only once its index is nonzero), so a flight that never
+    drops writes just the two zero indices.
     """
 
     __slots__ = (
         "entry", "rec", "nonce", "payload", "ack_payload",
         "first_contact", "ack_first_contact", "b_inc",
         "kind", "when", "seq", "timeout_when", "timeout_seq", "live",
+        "tries", "rto", "ack_tries", "ack_rto",
     )
 
     def __init__(self, entry, rec, nonce, payload, first_contact,
@@ -149,6 +140,8 @@ class _Flight:
         self.timeout_when = timeout_when
         self.timeout_seq = timeout_seq
         self.live = True
+        self.tries = 0
+        self.ack_tries = 0
 
 
 class _LaneEntry:
@@ -210,12 +203,11 @@ def _ping_on_fail(node, nbr, nonce):
 class LanePlane:
     """The lane scheduler attached to one simulator/overlay pair."""
 
-    def __init__(self, sim, net, overlay, force_python: bool = False) -> None:
+    def __init__(self, sim, net, overlay) -> None:
         self._sim = sim
         self._net = net
         self._overlay = overlay
-        self._np = None if force_python else _np
-        self.backend = "python" if self._np is None else "numpy"
+        self.backend = "python"
 
         queue = sim.queue
         self._queue = queue
@@ -238,6 +230,7 @@ class LanePlane:
         self._setup2 = config.connection_setup_rtts * 2.0
         self._rto_initial = config.rto_initial_ms
         self._rto_backoff = config.rto_backoff
+        self._max_retries = config.max_retries
         ocfg = overlay.config
         self._period = ocfg.ping_period_ms
         self._timeout = ocfg.ping_timeout_ms
@@ -441,8 +434,6 @@ class LanePlane:
         node = entry.node
         host = entry.host
         inc = entry.inc
-        src = entry.src
-        net = self._net
         queue = self._queue
         heap = self._heap
         pending = self._pending
@@ -459,8 +450,7 @@ class LanePlane:
             entry.sweep_seq = -1
 
         for f in entry.outstanding.values():
-            rec = f.rec
-            nbr = rec[0]
+            nbr = f.rec[0]
             # The outstanding-ping record and its timeout timer.
             tcb = _guarded_timeout(host, inc, node, nbr, f.nonce)
             heappush(heap, (f.timeout_when, f.timeout_seq, tcb, entry.timeout_label))
@@ -470,37 +460,28 @@ class LanePlane:
                 TimerHandle(queue, clock, f.timeout_seq, f.timeout_when, tcb,
                             entry.timeout_label),
             )
-            # The in-flight leg, if any.
+            # The in-flight leg, if any.  A pending retry goes back as the
+            # scalar state machine at the leg's attempt index and RTO.
             kind = f.kind
-            if kind == _ATTEMPT or kind == _DELIVER:
-                msg = OverlayPing(f.nonce, f.payload)
-                msg.sender = src
-                state = _SendAttemptState(
-                    net, src, nbr, msg, rec[4], f.first_contact,
-                    _ping_on_fail(node, nbr, f.nonce), inc,
-                )
-                if kind == _ATTEMPT:
-                    heappush(heap, (f.when, f.seq, state.attempt,
-                                    _TX_PING if tracing else ""))
-                else:
-                    heappush(heap, (f.when, f.seq, state.deliver_cb,
-                                    _RX_PING if tracing else ""))
+            if kind == _ATTEMPT:
+                cb = self._ping_state(f).attempt
+                label = _RTX_PING if f.tries else _TX_PING
+            elif kind == _DELIVER:
+                cb = self._ping_state(f).deliver_cb
+                label = _RX_PING
+            elif kind == _ACK_ATTEMPT:
+                cb = self._ack_state(f).attempt
+                label = _RTX_ACK if f.ack_tries else _TX_ACK
+            elif kind == _ACK_DELIVER:
+                cb = self._ack_state(f).deliver_cb
+                label = _RX_ACK
+            else:
+                # _IDLE: nothing in flight (dead receiver, dead sender
+                # leg, or a broken connection); only the timeout remains.
+                cb = None
+            if cb is not None:
+                heappush(heap, (f.when, f.seq, cb, label if tracing else ""))
                 pending.add(f.seq)
-            elif kind == _ACK_ATTEMPT or kind == _ACK_DELIVER:
-                msg = OverlayPingAck(f.nonce, f.ack_payload)
-                msg.sender = nbr
-                state = _SendAttemptState(
-                    net, nbr, src, msg, rec[5], f.ack_first_contact, None, f.b_inc,
-                )
-                if kind == _ACK_ATTEMPT:
-                    heappush(heap, (f.when, f.seq, state.attempt,
-                                    _TX_ACK if tracing else ""))
-                else:
-                    heappush(heap, (f.when, f.seq, state.deliver_cb,
-                                    _RX_ACK if tracing else ""))
-                pending.add(f.seq)
-            # _IDLE: nothing in flight (dead receiver / dead sender leg);
-            # _REAL: the progress event was already pushed by a drop.
             f.live = False
         entry.outstanding.clear()
 
@@ -595,9 +576,9 @@ class LanePlane:
         limit = inf if budget is None else budget
         dispatched = 0
         # Cache of the real heap's head key, invalidated by length change:
-        # every push (a lane-called listener scheduling real work, a drop
-        # materializing a retry) grows the heap, and only the shed loop
-        # below pops it.  A pure cancel leaves the length unchanged but
+        # every push (a lane-called listener scheduling real work, a
+        # broken connection scheduling its failure report) grows the
+        # heap, and only the shed loop below pops it.  A pure cancel leaves the length unchanged but
         # can only make the cached key *conservative* (we break to the
         # kernel, which sheds and re-enters) — never make it miss an
         # earlier real event.  A lazy timer move is such a cancel: its
@@ -710,7 +691,7 @@ class LanePlane:
             if kind == _ATTEMPT:
                 # Mirror of _SendAttemptState.attempt (outbound ping).
                 if trace is not None:
-                    trace.record("dispatch", _TX_PING)
+                    trace.record("dispatch", _RTX_PING if f.tries else _TX_PING)
                 entry = f.entry
                 host = entry.host
                 if not host.alive or host.incarnation != entry.inc:
@@ -736,9 +717,10 @@ class LanePlane:
                     f.seq = seq2
                     hpush(q, (arrival, seq2, _DELIVER, f))
                 else:
-                    # A drop is heterogeneous: cold path ejects the node
-                    # (barrier cache can only have gone stale-early).
-                    self._drop_ping(f, when)
+                    # Cold path: retry as a micro-event, or eject on a
+                    # broken connection (the barrier cache can only have
+                    # gone stale-early).
+                    self._ping_lost(f, when)
             elif kind == _DELIVER:
                 # Mirror of Network._deliver + Host.deliver + _on_ping.
                 if trace is not None:
@@ -786,7 +768,7 @@ class LanePlane:
             elif kind == _ACK_ATTEMPT:
                 # Mirror of _SendAttemptState.attempt (returning ack).
                 if trace is not None:
-                    trace.record("dispatch", _TX_ACK)
+                    trace.record("dispatch", _RTX_ACK if f.ack_tries else _TX_ACK)
                 rec = f.rec
                 nbr_host = rec[2]
                 if not nbr_host.alive or nbr_host.incarnation != f.b_inc:
@@ -810,7 +792,7 @@ class LanePlane:
                     f.seq = seq2
                     hpush(q, (arrival, seq2, _ACK_DELIVER, f))
                 else:
-                    self._drop_ack(f, when)
+                    self._ack_lost(f, when)
             else:  # _ACK_DELIVER
                 # Mirror of Network._deliver + OverlayNode._on_ping_ack.
                 if trace is not None:
@@ -862,28 +844,14 @@ class LanePlane:
             send_recs = [rec for rec in recs if rec[0] not in outstanding]
         else:
             send_recs = recs
-        np = self._np
-        if np is not None and len(send_recs) >= _NP_MIN_BATCH:
-            # Vectorized serialization chain.  cumsum accumulates left to
-            # right, so cumsum([base, oh, oh, ...])[1:] equals the scalar
-            # chain base+oh, (base+oh)+oh, ... bit for bit.
-            arr = np.empty(len(send_recs) + 1)
-            arr[0] = base
-            arr[1:] = oh
-            injects = arr.cumsum()[1:].tolist()
-        else:
-            injects = []
-            inject = base
-            for _ in send_recs:
-                inject = inject + oh
-                injects.append(inject)
         if send_recs and ctr_ping is None:
             ctr_ping = self._type_counter("OverlayPing")
             self._ctr_ping = ctr_ping
 
         hpush = heappush
         inject = base
-        for rec, inject in zip(send_recs, injects):
+        for rec in send_recs:
+            inject += oh
             nonce = nonce_next()
             payload = collect(rec[0])
             if not payload:
@@ -910,48 +878,71 @@ class LanePlane:
         entry.sweep_seq = sweep_seq
         self._sweeps.append(entry)
 
-    def _drop_ping(self, f, now: float) -> None:
-        """Cold path: the outbound ping dropped.  Push the scalar
-        retransmission state machine (mid-round-trip, exactly where
-        scalar would be) and eject the node."""
-        entry = f.entry
-        rec = f.rec
-        msg = OverlayPing(f.nonce, f.payload)
-        msg.sender = entry.src
-        state = _SendAttemptState(
-            self._net, entry.src, rec[0], msg, rec[4], f.first_contact,
-            _ping_on_fail(entry.node, rec[0], f.nonce), entry.inc,
-        )
-        self._push_retry(state, now, _RTX_PING)
-        f.kind = _REAL
-        self.eject_node(entry.node)
+    def _ping_lost(self, f, now: float) -> None:
+        """Cold path: the outbound ping dropped.  Retransmit it as a
+        micro-event after the backed-off RTO, drawing the seq where
+        :meth:`_SendAttemptState.segment_lost` would push its retry.  With
+        retries exhausted, that method breaks the connection on the
+        scalar state and the node ejects."""
+        tries = f.tries
+        if tries < self._max_retries:
+            rto = f.rto if tries else self._rto_initial
+            f.tries = tries + 1
+            f.rto = rto * self._rto_backoff
+            f.when = when = now + rto
+            f.seq = seq = next(self._next_seq)
+            heappush(self._q, (when, seq, _ATTEMPT, f))
+            return
+        self._ping_state(f).segment_lost()
+        f.kind = _IDLE
+        self.eject_node(f.entry.node)
 
-    def _drop_ack(self, f, now: float) -> None:
-        """Cold path: the returning ack dropped (see :meth:`_drop_ping`)."""
-        entry = f.entry
-        rec = f.rec
-        msg = OverlayPingAck(f.nonce, f.ack_payload)
-        msg.sender = rec[0]
-        state = _SendAttemptState(
-            self._net, rec[0], entry.src, msg, rec[5], f.ack_first_contact,
-            None, f.b_inc,
-        )
-        self._push_retry(state, now, _RTX_ACK)
-        f.kind = _REAL
-        self.eject_node(entry.node)
+    def _ack_lost(self, f, now: float) -> None:
+        """Cold path: the returning ack dropped (see :meth:`_ping_lost`)."""
+        tries = f.ack_tries
+        if tries < self._max_retries:
+            rto = f.ack_rto if tries else self._rto_initial
+            f.ack_tries = tries + 1
+            f.ack_rto = rto * self._rto_backoff
+            f.when = when = now + rto
+            f.seq = seq = next(self._next_seq)
+            heappush(self._q, (when, seq, _ACK_ATTEMPT, f))
+            return
+        self._ack_state(f).segment_lost()
+        f.kind = _IDLE
+        self.eject_node(f.entry.node)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _push_retry(self, state, now: float, label: str) -> None:
-        """Scalar retry push: attempt 0 dropped, schedule attempt 1."""
-        state.attempt_index = 1
-        delay = state.rto_ms
-        state.rto_ms *= self._rto_backoff
-        seq = next(self._next_seq)
-        heappush(self._heap, (now + delay, seq, state.attempt,
-                              label if self._trace is not None else ""))
-        self._pending.add(seq)
+    def _ping_state(self, f) -> _SendAttemptState:
+        """The scalar retransmission state of ``f``'s ping leg."""
+        entry = f.entry
+        nbr = f.rec[0]
+        msg = OverlayPing(f.nonce, f.payload)
+        msg.sender = entry.src
+        state = _SendAttemptState(
+            self._net, entry.src, nbr, msg, f.rec[4], f.first_contact,
+            _ping_on_fail(entry.node, nbr, f.nonce), entry.inc,
+        )
+        if f.tries:
+            state.attempt_index = f.tries
+            state.rto_ms = f.rto
+        return state
+
+    def _ack_state(self, f) -> _SendAttemptState:
+        """The scalar retransmission state of ``f``'s ack leg."""
+        nbr = f.rec[0]
+        msg = OverlayPingAck(f.nonce, f.ack_payload)
+        msg.sender = nbr
+        state = _SendAttemptState(
+            self._net, nbr, f.entry.src, msg, f.rec[5], f.ack_first_contact,
+            None, f.b_inc,
+        )
+        if f.ack_tries:
+            state.attempt_index = f.ack_tries
+            state.rto_ms = f.ack_rto
+        return state
 
     def _type_counter(self, type_name: str):
         """Mirror of Network.send's lazy per-type counter creation."""

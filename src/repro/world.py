@@ -79,14 +79,10 @@ class FuseWorld:
 
         # Liveness lanes: the batched fast path for steady-state ping
         # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
-        # REPRO_LIVENESS_LANES environment default ("on"); "py" forces
-        # the pure-Python lane backend even when numpy is available.
+        # REPRO_LIVENESS_LANES environment default ("on").
         self.lanes_mode = resolve_lanes_mode(liveness_lanes)
         if self.lanes_mode != "off":
-            plane = LanePlane(
-                self.sim, self.net, self.overlay,
-                force_python=(self.lanes_mode == "py"),
-            )
+            plane = LanePlane(self.sim, self.net, self.overlay)
             self.sim.lane_plane = plane
             self.overlay.lane_plane = plane
 

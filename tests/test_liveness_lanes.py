@@ -1,30 +1,34 @@
-"""Liveness-lane proofs: byte identity, ejection, fallback parity.
+"""Liveness-lane proofs: byte identity, ejection, retransmission.
 
 The lane plane (``repro.sim.lanes``) is a pure performance layer: with
-lanes on, off, or forced to the pure-Python backend, every observable —
-dispatch trace, counters, notification times, scenario measurements —
-must be byte-identical.  These tests pin that contract:
+lanes on or off, every observable — dispatch trace, counters,
+notification times, scenario measurements — must be byte-identical.
+These tests pin that contract:
 
 * the golden dispatch trace matches the committed fixture with lanes
-  *off* and with the pure-Python backend (the default-on path is covered
-  by ``tests/test_hotpath_determinism.py``, against the same fixture, so
-  the three modes are pairwise identical by transitivity);
+  *off* (the default-on path is covered by
+  ``tests/test_hotpath_determinism.py``, against the same fixture, so
+  the two modes are identical by transitivity);
 * every builtin scenario reproduces its committed ``[expect]`` fixture
   with lanes off (lanes-on is covered by ``tests/test_api_identity.py``);
 * heterogeneity ejects lanes before the next lane step: a link fault, a
   loss change (``Topology.generation``), and a crash mid-window each
   return their nodes to the scalar path;
+* a dropped ping or ack is retransmitted inside the lane, and the full
+  dispatch trace under loss — retries, connection breaks, and an eject
+  while a retry is pending — matches the lanes-off run;
 * the compressed flash-crowd bootstrap joins *every* node (the
   15,996/16,000 gap regression, fixed by the first-sweep floor).
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.scenarios import BUILTIN
-from repro.sim.lanes import LanePlane, resolve_lanes_mode
+from repro.sim.lanes import _ATTEMPT, LanePlane, resolve_lanes_mode
 from repro.world import FuseWorld
 
 from golden_scenario import run_golden_scenario
@@ -48,10 +52,10 @@ def _golden_fixture():
 
 
 class TestGoldenTraceIdentity:
-    """Lanes off and the pure-Python lane backend reproduce the same
-    golden dispatch trace as the committed (lanes-on-verified) fixture."""
+    """Lanes off reproduces the same golden dispatch trace as the
+    committed (lanes-on-verified) fixture."""
 
-    @pytest.mark.parametrize("mode", ["off", "py"])
+    @pytest.mark.parametrize("mode", ["off"])
     def test_golden_trace_mode(self, mode, monkeypatch):
         monkeypatch.setenv("REPRO_LIVENESS_LANES", mode)
         want = _golden_fixture()
@@ -72,31 +76,18 @@ class TestScenarioIdentityLanesOff:
 
 
 class TestFallbackParity:
-    """The pure-Python lane backend is gated exactly like scipy in
-    net/routing.py: same results, numpy merely optional."""
-
-    def test_scenario_pure_python_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LIVENESS_LANES", "py")
-        fixture = (OUT_DIR / "scenario_steady.json").read_text()
-        assert scenario_json("steady") == fixture
-
-    def test_forced_python_backend_reports_python(self):
-        world = FuseWorld(n_nodes=12, seed=3, liveness_lanes="py")
-        assert world.sim.lane_plane is not None
-        assert world.sim.lane_plane.backend == "python"
+    """Lane modes are on and off; off builds no plane at all."""
 
     def test_mode_resolution(self, monkeypatch):
         assert resolve_lanes_mode(True) == "on"
         assert resolve_lanes_mode(False) == "off"
-        assert resolve_lanes_mode("py") == "py"
         monkeypatch.setenv("REPRO_LIVENESS_LANES", "0")
         assert resolve_lanes_mode() == "off"
-        monkeypatch.setenv("REPRO_LIVENESS_LANES", "fallback")
-        assert resolve_lanes_mode() == "py"
         monkeypatch.delenv("REPRO_LIVENESS_LANES")
         assert resolve_lanes_mode() == "on"
-        with pytest.raises(ValueError):
-            resolve_lanes_mode("bogus")
+        for bogus in ("bogus", "py"):
+            with pytest.raises(ValueError):
+                resolve_lanes_mode(bogus)
 
     def test_lanes_off_world_has_no_plane(self):
         world = FuseWorld(n_nodes=12, seed=3, liveness_lanes="off")
@@ -175,6 +166,109 @@ class TestLaneEjection:
         world.run_for_minutes(3.0)
         # Some neighbor must have suspected the victim and reported it.
         assert world.overlay.member_count < 20
+
+
+class TestRetransmissionInLanes:
+    def test_drop_does_not_eject(self):
+        """Under uniform loss, dropped pings and acks are retransmitted as
+        micro-events: retransmissions happen and no node leaves its lane."""
+        world, plane = _laned_world()
+        world.topology.set_uniform_loss(0.01)
+        # The loss change flushes every lane; nodes re-absorb at their
+        # next sweep, within one ping period.
+        world.run_for_minutes(1.5)
+        assert plane.lane_count == 20
+        counters = world.sim.metrics.counters()
+        messages = counters["net.messages"].value
+        transmissions = counters["net.transmissions"].value
+        ejects = plane.ejects
+        world.run_for_minutes(3.0)
+        sent = counters["net.messages"].value - messages
+        tried = counters["net.transmissions"].value - transmissions
+        assert tried > sent, "the loss should have forced retransmissions"
+        assert plane.ejects == ejects
+        assert plane.lane_count == 20
+
+
+def _lossy_trace(lanes, loss, crash=None):
+    """Full dispatch-trace digest of a 40-node world with 8 groups that
+    runs 6 minutes under uniform per-link loss.
+
+    ``crash="retry"`` (lanes on) steps the world in 50 ms slices until a
+    laned node has a ping waiting on a retransmission, then crashes that
+    node; the result's ``crashed`` is ``(when, node_id)``.  Passing that
+    pair as ``crash`` replays the same crash, with the same stepping.
+    """
+    n = 40
+    world = FuseWorld(n_nodes=n, seed=3, trace=True, liveness_lanes=lanes)
+    world.bootstrap()
+    ids = world.node_ids
+    for i in range(8):
+        root = ids[(i * n) // 8]
+        members = [ids[((i * n) // 8 + k * 7 + 1) % n] for k in range(3)]
+        world.create_group_sync(root, members)
+    world.topology.set_uniform_loss(loss)
+    end = world.now + 6 * 60_000.0
+    crashed = None
+    if crash is not None:
+        plane = world.sim.lane_plane
+        while crashed is None and world.now < end:
+            world.run_for(50.0)
+            if crash != "retry":
+                if world.now >= crash[0]:
+                    crashed = crash
+                continue
+            for entry in plane._entries.values():
+                if any(f.kind == _ATTEMPT and f.tries
+                       for f in entry.outstanding.values()):
+                    crashed = (world.now, entry.src)
+                    break
+        assert crashed is not None, "no ping ever waited on a retry"
+        world.crash(crashed[1])
+    world.run_for(end - world.now)
+    digest = hashlib.sha256()
+    for rec in world.sim.trace:
+        digest.update(f"{rec.time!r}|{rec.category}|{rec.message}\n".encode())
+    labels = [rec.message for rec in world.sim.trace]
+    return {
+        "trace_sha256": digest.hexdigest(),
+        "events_dispatched": world.sim.events_dispatched,
+        "rtx": sum(label.startswith("rtx:") for label in labels),
+        "breaks": world.sim.metrics.counters()["net.connection_breaks"].value,
+        "crashed": crashed,
+    }
+
+
+class TestTraceIdentityUnderLoss:
+    """The lane's retransmission mirrors ``_SendAttemptState`` operation
+    for operation: lanes on and off dispatch the same trace under loss,
+    including retries (``rtx:``) and broken connections (``brk:``)."""
+
+    @pytest.mark.parametrize("loss", [0.004, 0.05, 0.3])
+    def test_lossy_trace_lanes_on_off(self, loss, monkeypatch):
+        exhausted = []
+        for name, tries in (("_ping_lost", "tries"), ("_ack_lost", "ack_tries")):
+            lost = getattr(LanePlane, name)
+
+            def spy(self, f, now, lost=lost, tries=tries):
+                if getattr(f, tries) == self._max_retries:
+                    exhausted.append(now)
+                lost(self, f, now)
+
+            monkeypatch.setattr(LanePlane, name, spy)
+        on = _lossy_trace(True, loss)
+        off = _lossy_trace(False, loss)
+        assert on == off
+        assert on["rtx"] > 0
+        if loss >= 0.05:
+            # Retries ran out inside a lane: the break policy ran on the
+            # rebuilt scalar state and the node ejected.
+            assert exhausted and on["breaks"] > 0
+
+    def test_eject_while_retry_pending(self):
+        on = _lossy_trace(True, 0.05, crash="retry")
+        off = _lossy_trace(False, 0.05, crash=on["crashed"])
+        assert on == off
 
 
 class TestCompressedBootstrapJoinsEveryNode:

@@ -3,8 +3,8 @@
 The lane plane (``repro.sim.lanes``) must not change what a world does.
 One fixed workload — eight groups spread over the id space, two crashes
 mid-run, enough virtual time for detection and repair — runs serially
-with liveness lanes off, on and pure-Python, and every mode must produce
-byte-identical artifacts:
+with liveness lanes off and on, and both must produce byte-identical
+artifacts:
 
 * the full :class:`~repro.fuse.api.GroupLedger` (creates, notes,
   duplicates, as tuples),
@@ -59,7 +59,7 @@ class TestIdentityMatrix400:
     def reference(self):
         return _artifacts(self.N, self.SEED, lanes="off")
 
-    @pytest.mark.parametrize("lanes", ["on", "py"])
+    @pytest.mark.parametrize("lanes", ["on"])
     def test_serial_lanes_identical(self, reference, lanes):
         got = _artifacts(self.N, self.SEED, lanes=lanes)
         for key in reference:
