@@ -2,8 +2,8 @@
 
 Each benchmark runs one experiment driver (scaled to finish in seconds),
 asserts the paper's qualitative shape, and records the generated table
-under benchmarks/results/ so the paper-vs-measured comparison in
-EXPERIMENTS.md can be regenerated from a run's artifacts.
+under benchmarks/results/, so a run's paper-vs-measured tables can be
+read back from its artifacts.
 
 Drivers now run through the shared trial engine (:mod:`repro.engine`),
 which times every trial; passing the driver's ``result_set`` to

@@ -1,7 +1,7 @@
-"""Setup shim.
+"""Setup shim: the package metadata lives in setup.cfg.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in offline
-environments whose setuptools predates PEP 660 editable-wheel support.
+``pip install -e .`` runs this file, so editable installs also work
+with setuptools releases that predate PEP 660 editable wheels.
 """
 from setuptools import setup
 

@@ -10,8 +10,8 @@ object with ``rows()``, ``format_table()``, and a ``result_set``
 (:class:`repro.engine.ResultSet`) for JSON archiving.  ``jobs`` fans the
 sweep's independent trials across worker processes with aggregate
 results identical to a serial run.  The benchmarks/ directory wraps each
-driver in a pytest-benchmark target; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+driver in a pytest-benchmark target that asserts the paper's qualitative
+shape and writes the generated table to benchmarks/results/.
 
 | Paper result | Module |
 |---|---|

@@ -19,6 +19,7 @@ grid (one world per cell), the repair study a two-point grid over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,8 +124,7 @@ def _run_alternative(kind: str, n_nodes: int, n_groups: int, group_size: int,
         handle = services[root].create_group(members)
         handle.on_live(lambda _g: done.append("ok"))
         handle.on_notified(lambda _g, reason: done.append(reason.value))
-        while not done and sim.step():
-            pass
+        sim.run_until(lambda: bool(done), timeout_ms=math.inf)
     sim.metrics.reset_counters()
     sim.run(until=sim.now + window_ms)
     return sim.metrics.counter("net.messages").rate_per_second(window_ms)

@@ -19,6 +19,7 @@ whole measurement and their samples merge into the reported CDFs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -116,9 +117,7 @@ def _trial(spec: TrialSpec) -> Measurements:
                 on_reply=lambda _r, s=series, t0=start: (done.append(1), s.append(sim.now - t0)),
                 on_failure=lambda why: done.append(why),
             )
-            while not done and sim.step():
-                pass
-            if not done:
+            if not sim.run_until(lambda: bool(done), timeout_ms=math.inf):
                 raise RuntimeError("calibration RPC never completed")
         # Forget the cached connection so the next pair's 'first' is cold.
         net._break_connection(a, b)

@@ -2,7 +2,7 @@
 
 The paper's figures are bar charts and CDFs; benchmark runs print them as
 aligned text tables / (value, fraction) series so results live in the
-pytest output and EXPERIMENTS.md without a plotting dependency.
+pytest output and benchmarks/results/ without a plotting dependency.
 """
 
 from __future__ import annotations

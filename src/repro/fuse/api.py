@@ -276,11 +276,6 @@ class FuseGroup:
         )
 
 
-#: note listener signature: fn(record, first) — ``first`` is False for a
-#: duplicate report of an already-notified (group, member) pair.
-NoteListener = Callable[[NoteRecord, bool], None]
-
-
 class GroupLedger:
     """World-level append-only record of group lifecycle events.
 
@@ -303,7 +298,6 @@ class GroupLedger:
         "_member_notes",
         "_notified_groups",
         "_handles",
-        "_listeners",
         "_phase",
     )
 
@@ -324,7 +318,6 @@ class GroupLedger:
         self._member_notes: Dict[FuseId, List[NoteRecord]] = {}
         self._notified_groups: Set[FuseId] = set()
         self._handles: Dict[FuseId, FuseGroup] = {}
-        self._listeners: List[NoteListener] = []
         self._phase = ""
 
     # ------------------------------------------------------------------
@@ -355,7 +348,7 @@ class GroupLedger:
         self._handles[handle.fuse_id] = handle
 
     def handle(self, fuse_id: FuseId) -> Optional[FuseGroup]:
-        """The creator's handle for ``fuse_id`` (None for legacy creates)."""
+        """The creator's handle for ``fuse_id`` (None if unknown)."""
         return self._handles.get(fuse_id)
 
     def group_live(self, fuse_id: FuseId) -> None:
@@ -389,30 +382,21 @@ class GroupLedger:
             self.sim.now, fuse_id, node, role, self._classify(fuse_id, raw), raw, self._phase
         )
         key = (fuse_id, node)
-        first = key not in self._first
-        if not first:
+        if key in self._first:
             self.duplicates.append(record)
-        else:
-            self._first[key] = record
-            self.notes.append(record)
-            if role != "delegate":
-                self._times.setdefault(fuse_id, {})[node] = record.when
-                self._member_notes.setdefault(fuse_id, []).append(record)
-                newly_notified = fuse_id not in self._notified_groups
-                self._notified_groups.add(fuse_id)
-                handle = self._handles.get(fuse_id)
-                if handle is not None:
-                    handle._fire_member(node, record.reason)
-                    if newly_notified:
-                        handle._fire_notified(record.reason)
-        for listener in self._listeners:
-            listener(record, first)
-
-    def add_note_listener(self, listener: NoteListener) -> None:
-        """Low-level hook: ``listener(record, first)`` on every report,
-        duplicates included (the deprecation shim for the old global
-        ``observe_notifications`` observer rides on this)."""
-        self._listeners.append(listener)
+            return
+        self._first[key] = record
+        self.notes.append(record)
+        if role != "delegate":
+            self._times.setdefault(fuse_id, {})[node] = record.when
+            self._member_notes.setdefault(fuse_id, []).append(record)
+            newly_notified = fuse_id not in self._notified_groups
+            self._notified_groups.add(fuse_id)
+            handle = self._handles.get(fuse_id)
+            if handle is not None:
+                handle._fire_member(node, record.reason)
+                if newly_notified:
+                    handle._fire_notified(record.reason)
 
     def _classify(self, fuse_id: FuseId, raw: str) -> NotificationReason:
         reason = base_reason(raw)
@@ -499,28 +483,16 @@ class GroupLedger:
 
 
 def ledger_completion(
-    ledger: GroupLedger,
-    fuse_id: FuseId,
-    legacy_cb: Optional[Callable[[Optional[FuseId], str], None]],
+    ledger: GroupLedger, fuse_id: FuseId
 ) -> Callable[[Optional[FuseId], str], None]:
     """The single create-completion callback every FUSE implementation
-    routes through: records the outcome on the ledger (which dispatches
-    the handle), then invokes the deprecated legacy callback if one was
-    supplied."""
+    routes through: records the outcome on the ledger, which dispatches
+    the handle."""
 
     def done(fid: Optional[FuseId], status: str) -> None:
         if fid is not None and status == "ok":
             ledger.group_live(fuse_id)
         else:
             ledger.group_create_failed(fuse_id, status)
-        if legacy_cb is not None:
-            legacy_cb(fid, status)
 
     return done
-
-
-DEPRECATED_CREATE_MSG = (
-    "create_group(members, on_complete) is deprecated; call "
-    "create_group(members) and subscribe on the returned FuseGroup "
-    "handle (on_live / on_notified)"
-)

@@ -7,7 +7,9 @@ repair timeout and 2 minute root repair timeout (§7.4).
 
 The ablation switches at the bottom correspond to the design choices the
 paper argues for; flipping them reproduces the alternatives it rejects
-(paper §5/§5.1; exercised by benchmarks/bench_ablation_*.py).
+(paper §5/§5.1; ``repair_enabled`` is swept by the ``ablation-repair``
+experiment in repro.experiments.ablation, ``blocking_create`` by
+tests/test_fuse_create.py).
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ class FuseConfig:
     """Paper choice: CreateGroup blocks until every member acknowledged
     (§3.2).  False = return the ID immediately and let liveness checking
     catch unreachable members."""
-
-    direct_root_member: bool = True
-    """Paper choice: create/repair/notification messages travel directly
-    between root and members rather than through overlay routes (§6
-    intro).  False routes them through the overlay."""
 
     stable_storage: bool = False
     """§3.6 alternative implementation: persist group membership to

@@ -35,15 +35,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
+from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
 from repro.fuse.config import FuseConfig
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.fuse.messages import (
@@ -65,7 +59,6 @@ from repro.overlay.skipnet.messages import RouteEnvelope
 from repro.overlay.skipnet.node import OverlayNode
 
 CreateCallback = Callable[[Optional[FuseId], str], None]
-NotificationObserver = Callable[[FuseId, str], None]
 
 _EMPTY_HASH = hashlib.sha1(b"").hexdigest()
 
@@ -227,11 +220,7 @@ class FuseService:
     def name(self) -> str:
         return self.host.name
 
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
+    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
         """CreateGroup: build a group of this node (the root) plus ``members``.
 
         Returns a :class:`~repro.fuse.api.FuseGroup` handle carrying the
@@ -241,20 +230,7 @@ class FuseService:
         ``on_notified`` fires, and all contacted members are notified so
         no state is orphaned (§6.2).  Every attempt and outcome is also
         recorded on :attr:`ledger`.
-
-        Passing ``on_complete`` is the **deprecated** legacy form: the
-        callback fires as ``on_complete(fuse_id, "ok")`` /
-        ``on_complete(None, reason)`` exactly as before (still routed
-        through the ledger) and the bare FUSE ID is returned.
         """
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
         member_ids = [m for m in dict.fromkeys(members) if m != self.host.node_id]
         fuse_id = make_fuse_id(self.name, serial=next(self._fuse_id_serial))
         state = GroupState(
@@ -277,7 +253,7 @@ class FuseService:
         )
         self.ledger.record_create(fuse_id, self.host.node_id, handle.members)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+        done = ledger_completion(self.ledger, fuse_id)
 
         if not member_ids:
             self.sim.schedule_soon(lambda: self._complete_create(state, done))
@@ -295,7 +271,6 @@ class FuseService:
             self.sim.schedule_soon(lambda: done(fuse_id, "ok"))
             pending.on_complete = lambda *_: None
         return handle
-
 
     def register_failure_handler(self, fuse_id: FuseId, handler: FailureHandler) -> None:
         """RegisterFailureHandler: invoke ``handler`` on group failure.
@@ -318,31 +293,9 @@ class FuseService:
         if state.is_root:
             self._root_hard_fail(state, "signaled", exclude=None)
         else:
-            self._send_control(
-                state.root_id,
-                state.root_name,
-                HardNotification(fuse_id, "signaled"),
-            )
+            self._send_control(state.root_id, HardNotification(fuse_id, "signaled"))
             self._soft_notify_links(state, exclude=None)
             self._fail_group(state, "signaled")
-
-    def observe_notifications(self, observer: NotificationObserver) -> None:
-        """**Deprecated** test/experiment hook fired on every hard failure
-        at this node.  Routed through the ledger: read
-        ``FuseWorld.ledger`` or subscribe ``FuseGroup.on_member_notified``
-        instead."""
-        warnings.warn(
-            "observe_notifications is deprecated; read the world's "
-            "GroupLedger or subscribe FuseGroup.on_member_notified",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        node_id = self.host.node_id
-        self.ledger.add_note_listener(
-            lambda record, _first: observer(record.fuse_id, record.raw)
-            if record.node == node_id
-            else None
-        )
 
     def live_group_ids(self) -> List[FuseId]:
         return sorted(self.groups)
@@ -716,9 +669,7 @@ class FuseService:
                 self._root_hard_fail(state, f"no-repair:{reason}", exclude=None)
             else:
                 self._send_control(
-                    state.root_id,
-                    state.root_name,
-                    HardNotification(state.fuse_id, f"no-repair:{reason}"),
+                    state.root_id, HardNotification(state.fuse_id, f"no-repair:{reason}")
                 )
                 self._soft_notify_links(state, exclude)
                 self._fail_group(state, f"no-repair:{reason}")
@@ -748,9 +699,7 @@ class FuseService:
     def _member_request_repair(self, state: GroupState) -> None:
         if state.need_repair_timer is not None and state.need_repair_timer.active:
             return  # repair request already outstanding
-        self._send_control(
-            state.root_id, state.root_name, NeedRepair(state.fuse_id, state.seq)
-        )
+        self._send_control(state.root_id, NeedRepair(state.fuse_id, state.seq))
         state.need_repair_timer = self.host.call_after(
             self.config.member_repair_timeout_ms,
             lambda: self._on_member_repair_timeout(state.fuse_id),
@@ -762,11 +711,7 @@ class FuseService:
         if state is None:
             return
         # Never heard back from the root: give up and notify (§6.5).
-        self._send_control(
-            state.root_id,
-            state.root_name,
-            HardNotification(fuse_id, "member-repair-timeout"),
-        )
+        self._send_control(state.root_id, HardNotification(fuse_id, "member-repair-timeout"))
         self._soft_notify_links(state, exclude=None)
         self._fail_group(state, "member-repair-timeout")
 
@@ -884,9 +829,7 @@ class FuseService:
         for member in state.member_ids:
             if member == exclude:
                 continue
-            self._send_control(
-                member, self._name_of(member), HardNotification(state.fuse_id, reason)
-            )
+            self._send_control(member, HardNotification(state.fuse_id, reason))
         self._soft_notify_links(state, exclude=None)
         self._fail_group(state, reason)
 
@@ -919,16 +862,14 @@ class FuseService:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _send_control(self, dst_id: NodeId, dst_name: str, msg: Message, on_fail=None) -> None:
-        """Root<->member control traffic: direct (paper default) or routed
-        through the overlay (paper §5 ablation; see FuseConfig.direct_root_member)."""
+    def _send_control(self, dst_id: NodeId, msg: Message) -> None:
+        """Root<->member control traffic: sent directly, never routed
+        through the overlay (§6 intro); a message to self is delivered
+        locally."""
         if dst_id == self.host.node_id:
             self.sim.schedule_soon(lambda: self.host.deliver(self._stamp_self(msg)))
             return
-        if self.config.direct_root_member:
-            self.host.send(dst_id, msg, on_fail=on_fail)
-        else:
-            self.overlay.route(dst_name, msg)
+        self.host.send(dst_id, msg)
 
     def _stamp_self(self, msg: Message):
         stamped = copy.copy(msg)

@@ -10,22 +10,15 @@ forwards notifications — live in the subclasses.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
+from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.net.node import Host, RpcReply, RpcRequest
 
-CreateCallback = Callable[[Optional[FuseId], str], None]
 FailureHandler = Callable[[FuseId], None]
 
 
@@ -134,29 +127,15 @@ class AlternativeFuseBase:
         self._sweeping = False
         host.on_crash(self._on_crash)
         host.register_handler(AltCreateRequest, self._on_create_request)
-        host.register_handler(AltPing, self._on_ping)
-        host.register_handler(AltPingAck, self._on_ping_ack)
+        self._register_liveness(host)
         host.register_handler(AltNotify, self._on_notify)
 
     # ------------------------------------------------------------------
     # Public API (same three calls as the overlay implementation)
     # ------------------------------------------------------------------
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
+    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
         """Same contract as :meth:`repro.fuse.service.FuseService.create_group`:
-        returns a :class:`FuseGroup` handle; the ``on_complete`` form is
-        the deprecated legacy shim and returns the bare FUSE ID."""
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
+        returns a :class:`FuseGroup` handle."""
         member_ids = [self.host.node_id] + [
             m for m in dict.fromkeys(members) if m != self.host.node_id
         ]
@@ -166,11 +145,16 @@ class AlternativeFuseBase:
         handle = FuseGroup(self, self.ledger, fuse_id, self.host.node_id, member_ids)
         self.ledger.record_create(fuse_id, self.host.node_id, member_ids)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+        done = ledger_completion(self.ledger, fuse_id)
         self._group_installed(group)
         others = group.peers(self.host.node_id)
+
+        def finish() -> None:
+            self._create_succeeded(group)
+            done(fuse_id, "ok")
+
         if not others:
-            self.sim.schedule_soon(lambda: done(fuse_id, "ok"))
+            self.sim.schedule_soon(finish)
             return handle
         awaiting = set(others)
         failed = [False]
@@ -181,7 +165,7 @@ class AlternativeFuseBase:
                     return
                 awaiting.discard(member)
                 if not awaiting:
-                    done(fuse_id, "ok")
+                    finish()
 
             return inner
 
@@ -190,8 +174,7 @@ class AlternativeFuseBase:
                 if failed[0]:
                     return
                 failed[0] = True
-                self._create_failed(group, f"member {member} unreachable ({why})")
-                done(None, f"member {member} unreachable")
+                done(None, self._create_failed(group, member, why))
 
             return inner
 
@@ -233,14 +216,26 @@ class AlternativeFuseBase:
             self._group_installed(group)
         self.host.respond(request, AltCreateReply(request.fuse_id, ok=True))
 
-    def _create_failed(self, group: AltGroup, reason: str) -> None:
-        for member in group.peers(self.host.node_id):
-            self.host.send(member, AltNotify(group.fuse_id, f"create-failed: {reason}"))
+    def _create_succeeded(self, group: AltGroup) -> None:
+        """Every member acknowledged; runs just before the handle goes live."""
+
+    def _create_failed(self, group: AltGroup, member: NodeId, why: str) -> str:
+        """``member`` did not acknowledge: tell the others, fail locally,
+        and return the creation failure reason for the ledger."""
+        reason = f"member {member} unreachable ({why})"
+        for peer in group.peers(self.host.node_id):
+            self.host.send(peer, AltNotify(group.fuse_id, f"create-failed: {reason}"))
         self._fail_group(group, reason)
+        return f"member {member} unreachable"
 
     # ------------------------------------------------------------------
     # Monitoring loop
     # ------------------------------------------------------------------
+    def _register_liveness(self, host: Host) -> None:
+        """Handlers for this topology's liveness traffic: peer pings."""
+        host.register_handler(AltPing, self._on_ping)
+        host.register_handler(AltPingAck, self._on_ping_ack)
+
     def _ensure_sweeping(self) -> None:
         if self._sweeping:
             return

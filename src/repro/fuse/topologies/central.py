@@ -20,30 +20,19 @@ count — but all traffic converges on the server.
 
 from __future__ import annotations
 
-import itertools
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
-from repro.fuse.ids import FuseId, make_fuse_id
+from repro.fuse.api import GroupLedger
+from repro.fuse.ids import FuseId
 from repro.fuse.topologies.base import (
-    AltCreateReply,
-    AltCreateRequest,
     AltGroup,
+    AlternativeFuseBase,
     AltNotify,
     TopologyConfig,
 )
 from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.net.node import Host
-
-CreateCallback = Callable[[Optional[FuseId], str], None]
-FailureHandler = Callable[[FuseId], None]
 
 
 class CsRegister(Message):
@@ -152,8 +141,13 @@ class CentralServer:
         self._scanning = False
 
 
-class CentralServerFuse:
-    """Member-side FUSE API backed by a :class:`CentralServer`."""
+class CentralServerFuse(AlternativeFuseBase):
+    """Member-side FUSE API backed by a :class:`CentralServer`.
+
+    Creation, the API calls and local failure come from
+    :class:`AlternativeFuseBase`; liveness is one ping per period to the
+    server in place of the base class's per-group peer pings.
+    """
 
     def __init__(
         self,
@@ -162,126 +156,38 @@ class CentralServerFuse:
         config: Optional[TopologyConfig] = None,
         ledger: Optional[GroupLedger] = None,
     ) -> None:
-        self.host = host
-        self.sim = host.network.sim
         self.server_id = server_id
-        self.config = config or TopologyConfig()
-        self.ledger = ledger if ledger is not None else GroupLedger(
-            self.sim, host.network.faults
-        )
-        self.groups: Dict[FuseId, AltGroup] = {}
-        self.notifications: Dict[FuseId, str] = {}
-        self._nonce = itertools.count(1)
-        self._fuse_id_serial = itertools.count(1)
         self._pinging = False
         self._server_deadline: Optional[float] = None
-        host.on_crash(self._on_crash)
-        host.register_handler(AltCreateRequest, self._on_create_request)
-        host.register_handler(CsPingAck, self._on_ping_ack)
-        host.register_handler(AltNotify, self._on_notify)
+        super().__init__(host, config, ledger)
 
     # ------------------------------------------------------------------
-    # API
+    # Hooks into the shared create/fail machinery
     # ------------------------------------------------------------------
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
-        """Same contract as the overlay implementation: returns a
-        :class:`FuseGroup` handle; the ``on_complete`` form is the
-        deprecated legacy shim and returns the bare FUSE ID."""
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
-        member_ids = [self.host.node_id] + [
-            m for m in dict.fromkeys(members) if m != self.host.node_id
-        ]
-        fuse_id = make_fuse_id(self.host.name, serial=next(self._fuse_id_serial))
-        group = AltGroup(fuse_id, self.host.node_id, member_ids, self.sim.now)
-        self.groups[fuse_id] = group
-        handle = FuseGroup(self, self.ledger, fuse_id, self.host.node_id, member_ids)
-        self.ledger.record_create(fuse_id, self.host.node_id, member_ids)
-        self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+    def _group_installed(self, group: AltGroup) -> None:
         self._ensure_pinging()
-        others = [m for m in member_ids if m != self.host.node_id]
-        awaiting = set(others)
-        failed = [False]
 
-        def finish() -> None:
-            self.host.send(self.server_id, CsRegister(fuse_id, member_ids))
-            done(fuse_id, "ok")
+    def _create_succeeded(self, group: AltGroup) -> None:
+        self.host.send(self.server_id, CsRegister(group.fuse_id, group.member_ids))
 
-        if not others:
-            self.sim.schedule_soon(finish)
-            return handle
+    def _create_failed(self, group: AltGroup, member: NodeId, why: str) -> str:
+        for peer in group.peers(self.host.node_id):
+            self.host.send(peer, AltNotify(group.fuse_id, "create-failed"))
+        self._fail_group(group, f"create-failed: {member} {why}")
+        return f"member {member} unreachable ({why})"
 
-        def on_reply(member: NodeId):
-            def inner(_reply) -> None:
-                if failed[0]:
-                    return
-                awaiting.discard(member)
-                if not awaiting:
-                    finish()
+    def _propagate_failure(self, group: AltGroup, reason: str) -> None:
+        """Only a signal propagates from here: the server fans it out."""
+        self.host.send(self.server_id, AltNotify(group.fuse_id, reason))
 
-            return inner
-
-        def on_failure(member: NodeId):
-            def inner(why: str) -> None:
-                if failed[0]:
-                    return
-                failed[0] = True
-                for peer in others:
-                    self.host.send(peer, AltNotify(fuse_id, "create-failed"))
-                self._fail_group(group, f"create-failed: {member} {why}")
-                done(None, f"member {member} unreachable ({why})")
-
-            return inner
-
-        for member in others:
-            self.host.rpc(
-                member,
-                AltCreateRequest(fuse_id, self.host.node_id, member_ids),
-                self.config.create_timeout_ms,
-                on_reply(member),
-                on_failure(member),
-            )
-        return handle
-
-    def register_failure_handler(self, fuse_id: FuseId, handler: FailureHandler) -> None:
-        group = self.groups.get(fuse_id)
-        if group is None:
-            self.sim.schedule_soon(lambda: handler(fuse_id))
-            return
-        group.handler = handler
-
-    def signal_failure(self, fuse_id: FuseId) -> None:
-        group = self.groups.get(fuse_id)
-        if group is None:
-            return
-        self.host.send(self.server_id, AltNotify(fuse_id, "signaled"))
-        self._fail_group(group, "signaled")
-
-    def live_group_ids(self) -> List[FuseId]:
-        return sorted(self.groups)
+    def _forward_notification(self, group: AltGroup, notify: AltNotify) -> None:
+        """The server already notified every member; nothing to relay."""
 
     # ------------------------------------------------------------------
-    # Protocol
+    # Server liveness
     # ------------------------------------------------------------------
-    def _on_create_request(self, message: Message) -> None:
-        request = message
-        if request.fuse_id not in self.groups:
-            self.groups[request.fuse_id] = AltGroup(
-                request.fuse_id, request.root, request.member_ids, self.sim.now
-            )
-            self._ensure_pinging()
-        self.host.respond(request, AltCreateReply(request.fuse_id, ok=True))
+    def _register_liveness(self, host: Host) -> None:
+        host.register_handler(CsPingAck, self._on_ping_ack)
 
     def _ensure_pinging(self) -> None:
         if self._pinging:
@@ -324,23 +230,7 @@ class CentralServerFuse:
         for group in list(self.groups.values()):
             self._fail_group(group, "server-unreachable")
 
-    def _on_notify(self, message: Message) -> None:
-        notify = message
-        group = self.groups.get(notify.fuse_id)
-        if group is not None:
-            self._fail_group(group, notify.reason)
-
-    def _fail_group(self, group: AltGroup, reason: str) -> None:
-        if self.groups.pop(group.fuse_id, None) is None:
-            return
-        self.notifications[group.fuse_id] = reason
-        self.sim.metrics.counter("altfuse.hard_notifications").increment()
-        if group.handler is not None:
-            group.handler(group.fuse_id)
-        role = "root" if group.root == self.host.node_id else "member"
-        self.ledger.notified(group.fuse_id, self.host.node_id, role, reason)
-
     def _on_crash(self) -> None:
-        self.groups.clear()
+        super()._on_crash()
         self._pinging = False
         self._server_deadline = None

@@ -159,7 +159,7 @@ class AsyncioKernel:
     ) -> bool:
         """Drive the loop until ``predicate()`` holds or ``timeout_ms``
         of virtual time elapses.  Returns whether the predicate held —
-        the live twin of the ``while ...: sim.step()`` pattern."""
+        the live twin of ``Simulator.run_until``."""
         deadline = self.clock.now + timeout_ms
         while not predicate():
             if self.clock.now >= deadline:

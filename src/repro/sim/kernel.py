@@ -24,8 +24,9 @@ Two scheduling surfaces exist:
 
 ``run()`` is the hot loop: it pops and dispatches straight off the heap
 (shedding cancelled entries inline) instead of doing a peek pass plus a
-pop pass per event; ``step()`` remains as the single-event compatibility
-wrapper used by synchronous drivers.
+pop pass per event; ``step()`` dispatches a single event, and
+``run_until(predicate, timeout_ms)`` steps until a condition holds — the
+drive-until-done loop synchronous drivers use.
 """
 
 from __future__ import annotations
@@ -240,6 +241,17 @@ class Simulator:
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` milliseconds of virtual time from now."""
         return self.run(until=self.clock.now + duration, max_events=max_events)
+
+    def run_until(self, predicate: Callable[[], bool], timeout_ms: float) -> bool:
+        """Dispatch events one at a time until ``predicate()`` holds,
+        stopping right after the event that satisfied it.  Returns False
+        if ``timeout_ms`` of virtual time passed or the queue drained
+        first.  Same contract as ``AsyncioKernel.run_until``."""
+        deadline = self.clock.now + timeout_ms
+        while not predicate():
+            if self.clock.now >= deadline or not self.step():
+                return False
+        return True
 
     def stop(self) -> None:
         """Request that the current :meth:`run` return after this event."""

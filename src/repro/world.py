@@ -5,12 +5,17 @@ messaging layer, a SkipNet overlay with N virtual nodes, and a FUSE
 service on each — wired together and bootstrapped.  Tests, examples, and
 the experiment harness all start from here::
 
-    world = FuseWorld(n_nodes=400, seed=1)
+    world = FuseWorld(n_nodes=40, seed=1)
     world.bootstrap()                      # all nodes join the overlay
-    fid = world.create_group_sync(0, [5, 9, 13])
-    world.net.disconnect_host(9)
+    fid, status, _ = world.create_group_sync(0, [5, 9, 13])
+    world.disconnect(9)
     world.run_for_minutes(5)
     assert world.fuse(0).notifications[fid]
+
+:class:`WorldBase` holds what does not depend on the backend: the node
+stacks, the join-spacing policy, the accessors, group creation and the
+fault conveniences.  :class:`FuseWorld` adds the simulator and
+:class:`repro.net.backends.liveworld.LiveWorld` real UDP sockets.
 """
 
 from __future__ import annotations
@@ -35,27 +40,22 @@ from repro.sim.lanes import LanePlane, resolve_lanes_mode
 MINUTE_MS = 60_000.0
 
 
-class FuseWorld:
-    """A fully wired simulated FUSE deployment."""
+class WorldBase:
+    """A wired FUSE deployment on any backend.
 
-    def __init__(
+    A subclass builds ``self.sim`` (a kernel with ``run_for`` and
+    ``run_until``) and ``self.net``, calls :meth:`_assemble`, and
+    implements ``bootstrap``.
+    """
+
+    def _assemble(
         self,
-        n_nodes: int = 400,
-        seed: int = 0,
-        mercator: Optional[MercatorConfig] = None,
-        overlay_config: Optional[OverlayConfig] = None,
-        fuse_config: Optional[FuseConfig] = None,
-        transport: Optional[TransportConfig] = None,
-        trace: bool = False,
-        liveness_lanes: Optional[object] = None,
+        node_ids: Sequence[NodeId],
+        overlay_config: Optional[OverlayConfig],
+        fuse_config: Optional[FuseConfig],
     ) -> None:
-        self.sim = Simulator(seed=seed, trace=trace)
-        self.mercator = mercator or MercatorConfig.scaled_for_hosts(n_nodes)
-        if self.mercator.n_hosts < n_nodes:
-            raise ValueError("mercator config has fewer hosts than requested nodes")
-        topo, host_ids = build_mercator_topology(self.mercator, self.sim.rng.stream("topology"))
-        self.topology = topo
-        self.net = Network(self.sim, topo, config=transport)
+        """Build the overlay, the shared ledger and one Host ->
+        OverlayNode -> FuseService stack per node."""
         self.overlay = SkipNetOverlay(self.sim, self.net, overlay_config)
         self.fuse_config = fuse_config or FuseConfig()
         # The world-wide notification ledger: every FuseService records
@@ -64,7 +64,7 @@ class FuseWorld:
         # latency accounting (see repro.fuse.api and docs/API.md).
         self.ledger = GroupLedger(self.sim, self.net.faults)
 
-        self.node_ids: List[NodeId] = host_ids[:n_nodes]
+        self.node_ids: List[NodeId] = list(node_ids)
         self.hosts: Dict[NodeId, Host] = {}
         self.overlay_nodes: Dict[NodeId, OverlayNode] = {}
         self.fuse_services: Dict[NodeId, FuseService] = {}
@@ -76,15 +76,6 @@ class FuseWorld:
             self.fuse_services[node_id] = FuseService(
                 overlay_node, self.fuse_config, ledger=self.ledger
             )
-
-        # Liveness lanes: the batched fast path for steady-state ping
-        # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
-        # REPRO_LIVENESS_LANES environment default ("on").
-        self.lanes_mode = resolve_lanes_mode(liveness_lanes)
-        if self.lanes_mode != "off":
-            plane = LanePlane(self.sim, self.net, self.overlay)
-            self.sim.lane_plane = plane
-            self.overlay.lane_plane = plane
 
     # ------------------------------------------------------------------
     # Bootstrap and clock control
@@ -119,56 +110,22 @@ class FuseWorld:
             return 200.0
         return max(self.AUTO_JOIN_SPACING_MIN_MS, self.AUTO_JOIN_WINDOW_MS / n)
 
-    def bootstrap(
-        self,
-        join_spacing_ms: Optional[float] = None,
-        settle_ms: float = 5_000.0,
-    ) -> None:
-        """Join every node into the overlay, staggered, then settle.
+    def _join_spacing(self, join_spacing_ms: Optional[float]) -> float:
+        """Resolve ``bootstrap()``'s join spacing (None means
+        :meth:`default_join_spacing_ms`).
 
-        ``join_spacing_ms`` defaults to :meth:`default_join_spacing_ms`:
-        the classic 200 ms schedule for worlds up to 400 nodes (keeping
-        historical event streams byte-identical), a compressed schedule
-        above that so paper-scale worlds bootstrap in bounded virtual
-        time.
+        In the compressed flash-crowd regime every node's first liveness
+        sweep is held until the join storm has ended.  A probe fired
+        mid-storm races thousands of queued joins; at 16k nodes that
+        raced a handful of members clean out of the overlay (the
+        15,996/16,000 gap).  Classic 200 ms schedules keep the floor at
+        zero so historical event streams stay byte-identical.
         """
         if join_spacing_ms is None:
             join_spacing_ms = self.default_join_spacing_ms()
         if join_spacing_ms < 200.0:
-            # Compressed flash-crowd regime: hold every node's first
-            # liveness sweep until the join storm has ended.  A probe
-            # fired mid-storm races thousands of queued joins; at 16k
-            # nodes that raced a handful of members clean out of the
-            # overlay (the 15,996/16,000 gap).  Classic 200 ms schedules
-            # keep the floor at zero so historical event streams stay
-            # byte-identical.
             self.overlay.first_sweep_floor_ms = len(self.node_ids) * join_spacing_ms
-        plane = self.sim.lane_plane
-        if plane is not None:
-            # Join storms churn routing tables too fast for lanes to pay
-            # off (every table push would eject); absorb only afterward.
-            plane.suspend()
-        try:
-            for index, node_id in enumerate(self.node_ids):
-                node = self.overlay_nodes[node_id]
-                self.sim.call_at(index * join_spacing_ms, node.join)
-            self.sim.run(until=len(self.node_ids) * join_spacing_ms + settle_ms)
-        finally:
-            if plane is not None:
-                plane.resume()
-        if join_spacing_ms < 200.0:
-            # A probe routed into the churning mid-storm rings can
-            # dead-end (hop-count drop), parking its joiner on the 30 s
-            # join-retry timer — past the settle window.  Drive the
-            # world until the stragglers' retries land so a compressed
-            # bootstrap always ends with full membership (bounded: one
-            # retry cycle plus slack).
-            deadline = self.sim.now + 60_000.0
-            while (
-                self.overlay.member_count < len(self.node_ids)
-                and self.sim.now < deadline
-            ):
-                self.sim.run_for(1_000.0)
+        return join_spacing_ms
 
     def run_for(self, duration_ms: float) -> None:
         self.sim.run_for(duration_ms)
@@ -200,7 +157,7 @@ class FuseWorld:
     # ------------------------------------------------------------------
     def create_group(self, root: NodeId, members: Sequence[NodeId]) -> FuseGroup:
         """Start creating a group rooted at ``root`` and return its
-        handle (asynchronous — drive the simulator to complete it, or use
+        handle (asynchronous — drive the world to complete it, or use
         :meth:`create_group_sync`)."""
         return self.fuse(root).create_group(members)
 
@@ -210,10 +167,10 @@ class FuseWorld:
         members: Sequence[NodeId],
         max_wait_ms: float = 120_000.0,
     ) -> Tuple[Optional[FuseId], str, float]:
-        """Create a group and run the simulator until creation completes.
+        """Create a group and drive the world until creation completes.
 
-        Thin shim over :meth:`create_group`: subscribes the handle's
-        lifecycle callbacks and steps the simulator until one fires.
+        Wraps :meth:`create_group`: subscribes the handle's
+        lifecycle callbacks and runs the kernel until one fires.
         Returns (fuse_id or None, status string, creation latency in ms).
         """
         outcome: Dict[str, object] = {}
@@ -232,11 +189,7 @@ class FuseWorld:
             outcome["latency"] = self.sim.now - started
 
         self.create_group(root, members).on_live(live).on_notified(notified)
-        deadline = started + max_wait_ms
-        while "status" not in outcome and self.sim.now < deadline:
-            if not self.sim.step():
-                break
-        if "status" not in outcome:
+        if not self.sim.run_until(lambda: "status" in outcome, timeout_ms=max_wait_ms):
             return None, "no-completion", self.sim.now - started
         return (
             outcome.get("fuse_id"),  # type: ignore[return-value]
@@ -244,6 +197,9 @@ class FuseWorld:
             float(outcome["latency"]),  # type: ignore[arg-type]
         )
 
+    # ------------------------------------------------------------------
+    # Fault conveniences
+    # ------------------------------------------------------------------
     def crash(self, node_id: NodeId) -> None:
         self.net.crash_host(node_id)
 
@@ -259,9 +215,83 @@ class FuseWorld:
 
     def __repr__(self) -> str:
         return (
-            f"FuseWorld(nodes={len(self.node_ids)}, t={self.sim.now / 1000.0:.1f}s, "
-            f"members={self.overlay.member_count})"
+            f"{type(self).__name__}(nodes={len(self.node_ids)}, "
+            f"t={self.sim.now / 1000.0:.1f}s, members={self.overlay.member_count})"
         )
+
+
+class FuseWorld(WorldBase):
+    """A fully wired simulated FUSE deployment."""
+
+    def __init__(
+        self,
+        n_nodes: int = 400,
+        seed: int = 0,
+        mercator: Optional[MercatorConfig] = None,
+        overlay_config: Optional[OverlayConfig] = None,
+        fuse_config: Optional[FuseConfig] = None,
+        transport: Optional[TransportConfig] = None,
+        trace: bool = False,
+        liveness_lanes: Optional[object] = None,
+    ) -> None:
+        self.sim = Simulator(seed=seed, trace=trace)
+        self.mercator = mercator or MercatorConfig.scaled_for_hosts(n_nodes)
+        if self.mercator.n_hosts < n_nodes:
+            raise ValueError("mercator config has fewer hosts than requested nodes")
+        topo, host_ids = build_mercator_topology(self.mercator, self.sim.rng.stream("topology"))
+        self.topology = topo
+        self.net = Network(self.sim, topo, config=transport)
+        self._assemble(host_ids[:n_nodes], overlay_config, fuse_config)
+
+        # Liveness lanes: the batched fast path for steady-state ping
+        # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
+        # REPRO_LIVENESS_LANES environment default ("on").
+        self.lanes_mode = resolve_lanes_mode(liveness_lanes)
+        if self.lanes_mode != "off":
+            plane = LanePlane(self.sim, self.net, self.overlay)
+            self.sim.lane_plane = plane
+            self.overlay.lane_plane = plane
+
+    def bootstrap(
+        self,
+        join_spacing_ms: Optional[float] = None,
+        settle_ms: float = 5_000.0,
+    ) -> None:
+        """Join every node into the overlay, staggered, then settle.
+
+        ``join_spacing_ms`` defaults to :meth:`default_join_spacing_ms`:
+        the classic 200 ms schedule for worlds up to 400 nodes (keeping
+        historical event streams byte-identical), a compressed schedule
+        above that so paper-scale worlds bootstrap in bounded virtual
+        time.
+        """
+        join_spacing_ms = self._join_spacing(join_spacing_ms)
+        plane = self.sim.lane_plane
+        if plane is not None:
+            # Join storms churn routing tables too fast for lanes to pay
+            # off (every table push would eject); absorb only afterward.
+            plane.suspend()
+        try:
+            for index, node_id in enumerate(self.node_ids):
+                node = self.overlay_nodes[node_id]
+                self.sim.call_at(index * join_spacing_ms, node.join)
+            self.sim.run(until=len(self.node_ids) * join_spacing_ms + settle_ms)
+        finally:
+            if plane is not None:
+                plane.resume()
+        if join_spacing_ms < 200.0:
+            # A probe routed into the churning mid-storm rings can
+            # dead-end (hop-count drop), parking its joiner on the 30 s
+            # join-retry timer — past the settle window.  Drive the
+            # world until the stragglers' retries land so a compressed
+            # bootstrap always ends with full membership (bounded: one
+            # retry cycle plus slack).
+            deadline = self.sim.now + 60_000.0
+            while (
+                self.overlay.member_count < len(self.node_ids)
+                and self.sim.now < deadline
+            ):
+                self.sim.run_for(1_000.0)
 
 
 def make_world(backend: str = "sim", **kwargs):

@@ -2,9 +2,15 @@
 and contain no broken relative links (the same check CI's docs job runs
 via scripts/check_links.py)."""
 
+import importlib
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
+
+from repro import FuseWorld
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DOC_FILES = ["README.md", "docs/ARCHITECTURE.md", "docs/SCENARIOS.md", "docs/API.md"]
@@ -54,3 +60,28 @@ class TestDocsTree:
             if reason is NotificationReason.UNKNOWN:
                 continue  # internal fallback, not part of the contract
             assert f"`{reason.value}`" in text, f"reason {reason.value!r} undocumented"
+
+
+def _quickstart(module) -> str:
+    """The indented code block after the first ``::`` in a module docstring."""
+    block = module.__doc__.split("::\n", 1)[1]
+    lines = []
+    for line in block.splitlines()[1:]:
+        if line and not line.startswith("    "):
+            break
+        lines.append(line[4:])
+    return "\n".join(lines)
+
+
+class TestDocstringQuickstarts:
+    """The quickstarts in the package and world docstrings run as written."""
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.world"])
+    def test_quickstart_runs(self, module_name, capsys):
+        module = importlib.import_module(module_name)
+        code = _quickstart(module)
+        sizes = [int(n) for n in re.findall(r"n_nodes=(\d+)", code)]
+        assert sizes and max(sizes) <= 50, "quickstart worlds stay small"
+        exec(compile(code, f"<{module_name} quickstart>", "exec"), {"FuseWorld": FuseWorld})
+        if "print(" in code:
+            assert capsys.readouterr().out.startswith("failed: ")

@@ -226,6 +226,77 @@ class TestSimulator:
         assert any("hello" in rec.message for rec in sim.trace)
 
 
+class TestRunUntilPredicate:
+    """``Simulator.run_until(predicate, timeout_ms)``: step until a
+    condition holds, the synchronous twin of ``AsyncioKernel.run_until``."""
+
+    @staticmethod
+    def _sim_with_events(*times):
+        sim = Simulator()
+        fired = []
+        for when in times:
+            sim.call_at(when, lambda w=when: fired.append(w))
+        return sim, fired
+
+    def test_stops_right_after_the_satisfying_event(self):
+        sim, fired = self._sim_with_events(10.0, 20.0, 20.0, 30.0)
+        assert sim.run_until(lambda: 20.0 in fired, timeout_ms=1_000.0)
+        assert fired == [10.0, 20.0]
+        assert sim.now == 20.0
+        assert len(sim.queue) == 2
+
+    def test_true_predicate_dispatches_nothing(self):
+        sim, fired = self._sim_with_events(10.0)
+        assert sim.run_until(lambda: True, timeout_ms=1_000.0)
+        assert fired == [] and sim.events_dispatched == 0
+
+    def test_false_at_timeout(self):
+        sim, fired = self._sim_with_events(5.0, 15.0, 25.0)
+        assert not sim.run_until(lambda: False, timeout_ms=10.0)
+        # Like the step loop it replaces, the deadline is checked before
+        # each step, so the first event at or past it still dispatches.
+        assert fired == [5.0, 15.0]
+        assert sim.now == 15.0
+
+    def test_false_when_queue_drains(self):
+        sim, fired = self._sim_with_events(1.0, 2.0)
+        assert not sim.run_until(lambda: False, timeout_ms=float("inf"))
+        assert fired == [1.0, 2.0]
+        assert len(sim.queue) == 0
+
+    def test_dispatches_exactly_the_step_loop_events(self):
+        """A lanes-on world driven until a crash is detected matches,
+        event for event, one driven by the hand-written step loop it
+        replaces (lane micro-events and ejects included)."""
+        from repro.net import MercatorConfig
+        from repro.world import FuseWorld
+
+        def drive(use_run_until: bool):
+            world = FuseWorld(
+                n_nodes=12, seed=11, mercator=MercatorConfig(n_hosts=12, n_as=4), trace=True
+            )
+            world.bootstrap()
+            root, members = world.node_ids[0], world.node_ids[3:7]
+            fid, status, _ = world.create_group_sync(root, members)
+            assert status == "ok"
+            world.run_for(90_000.0)  # lanes absorb the quiet ping traffic
+            world.crash(members[2])
+            sim = world.sim
+            micro_before = sim.lane_plane.stats()["micro_events_dispatched"]
+            notified = lambda: fid in world.fuse(root).notifications  # noqa: E731
+            if use_run_until:
+                assert sim.run_until(notified, timeout_ms=300_000.0)
+            else:
+                deadline = sim.now + 300_000.0
+                while not notified() and sim.now < deadline:
+                    if not sim.step():
+                        break
+            assert sim.lane_plane.stats()["micro_events_dispatched"] > micro_before
+            return sim.events_dispatched, sim.now, [rec.message for rec in sim.trace]
+
+        assert drive(True) == drive(False)
+
+
 class TestLazyTimerMoves:
     """A move no earlier than a timer's current time pushes nothing: the
     timer rides on its old heap entry until that entry reaches the head.
